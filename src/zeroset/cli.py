@@ -58,13 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STAGE_OF = {
-    "persist": ("persist",),
-    "excursions": ("excursions",),
-    "invariants": ("invariants",),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -87,9 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             manifest = dump_paths(config, out_dir=args.out)
         else:
-            manifest = run_experiment(
-                config, stages=_STAGE_OF[args.command], out_dir=args.out
-            )
+            manifest = run_experiment(config, stages=(args.command,), out_dir=args.out)
         print(f"wrote {manifest.path()}")
         for name, digest in sorted(manifest.outputs.items()):
             print(f"  {name}  sha256:{digest[:16]}")

@@ -8,11 +8,14 @@ are bit-identical for any worker count.  Nothing in the compute path reads
 the wall clock or OS entropy; timings appear only as manifest metadata.
 
 Per path the worker samples the process, estimates the local-time profile,
-inverts it, and reduces everything downstream analyses need to a small
-record (event indicators, masses, evaluations of the inverse, exceedance
-counts, jump marks).  Stage writers turn the aggregated records into CSV
-and JSON files; the manifest records the config hash and a checksum of
-every file written.
+inverts it, and reduces everything downstream analyses need to one row
+(event indicators, masses, diagnostics, evaluations of the inverse,
+exceedance counts) plus its pieces of the pooled jump marks.  The columns
+are declared once, as the fields of ``EnsembleSummary`` with their dtype,
+per-path width and fill value; each chunk allocates and fills them by
+name, and the chunks are concatenated in index order.  Stage writers turn
+the columns into CSV and JSON files; the manifest records the config hash
+and a checksum of every file written.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
@@ -48,8 +52,10 @@ from .invariance import (
 )
 from .localtime import (
     DEFAULT_C_EPSILON,
+    atom_diagnostic,
     estimate_local_time,
     invert_profile,
+    support_diagnostic,
 )
 from .persistence import (
     bm_exact_persistence,
@@ -273,49 +279,64 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown analysis keys {sorted(unknown)}")
 
-        horizon = float(process["horizon"])
+        horizon = _finite(process["horizon"], "process.horizon")
         t_grid = raw.get("t_grid")
         if t_grid is None:
             t_grid = tuple(horizon / 2**j for j in range(8, -1, -1))
         else:
-            t_grid = tuple(float(t) for t in t_grid)
+            t_grid = tuple(_finite(t, "t_grid") for t in t_grid)
         fit_range = raw.get("fit_range")
         if fit_range is None:
             fit_lo = fit_hi = None
         else:
             if not (isinstance(fit_range, (list, tuple)) and len(fit_range) == 2):
                 raise ConfigError("fit_range must be [T_lo, T_hi] or null")
-            fit_lo, fit_hi = float(fit_range[0]), float(fit_range[1])
-        tests = raw.get("tests")
-        if tests is None:
-            tests = _TEST_NAMES
+            fit_lo, fit_hi = (_finite(t, "fit_range") for t in fit_range)
+        tests = raw.get("tests", _TEST_NAMES)
+        if not isinstance(tests, (list, tuple)):
+            raise ConfigError(f"tests must be a list of test names, got {tests!r}")
+        exponent_is_hurst = eps.get("exponent_is_hurst", True)
+        if not isinstance(exponent_is_hurst, bool):
+            raise ConfigError(
+                f"epsilon.exponent_is_hurst must be true or false, got {exponent_is_hurst!r}"
+            )
         heavy = analysis.get("heavy_subdivisions", (1024, 4096))
         try:
             return cls(
                 family=family,
-                hurst=float(process["hurst"]),
+                hurst=_finite(process["hurst"], "process.hurst"),
                 horizon=horizon,
-                grid_size=int(process["grid_size"]),
-                micro_factor=int(process.get("micro_factor", 16)),
-                n_paths=int(raw.get("n_paths", 0)),
-                master_seed=int(raw.get("master_seed", 0)),
-                c_epsilon=float(eps.get("c", DEFAULT_C_EPSILON)),
-                epsilon_exponent_is_hurst=bool(eps.get("exponent_is_hurst", True)),
+                grid_size=_integer(process["grid_size"], "process.grid_size"),
+                micro_factor=_integer(process.get("micro_factor", 16), "process.micro_factor"),
+                n_paths=_integer(raw.get("n_paths", 0), "n_paths"),
+                master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
+                c_epsilon=_finite(eps.get("c", DEFAULT_C_EPSILON), "epsilon.c"),
+                epsilon_exponent_is_hurst=exponent_is_hurst,
                 t_grid=t_grid,
-                threshold=float(raw.get("threshold", 1.0)),
+                threshold=_finite(raw.get("threshold", 1.0), "threshold"),
                 fit_t_lo=fit_lo,
                 fit_t_hi=fit_hi,
-                mark_floor_factor=float(analysis.get("mark_floor_factor", 2.0)),
-                hill_k=(None if analysis.get("hill_k") is None else int(analysis["hill_k"])),
-                ratio_r=(None if analysis.get("ratio_r") is None else float(analysis["ratio_r"])),
-                x_window=float(analysis.get("x_window", 1.0)),
-                m0=(None if analysis.get("m0") is None else float(analysis["m0"])),
-                test_r=float(analysis.get("test_r", 0.5)),
-                test_x0=float(analysis.get("test_x0", 0.5)),
-                test_h=float(analysis.get("test_h", 0.5)),
-                heavy_subdivisions=tuple(int(n) for n in heavy),
+                mark_floor_factor=_finite(
+                    analysis.get("mark_floor_factor", 2.0), "analysis.mark_floor_factor"
+                ),
+                hill_k=(
+                    None if analysis.get("hill_k") is None
+                    else _integer(analysis["hill_k"], "analysis.hill_k")
+                ),
+                ratio_r=(
+                    None if analysis.get("ratio_r") is None
+                    else _finite(analysis["ratio_r"], "analysis.ratio_r")
+                ),
+                x_window=_finite(analysis.get("x_window", 1.0), "analysis.x_window"),
+                m0=(None if analysis.get("m0") is None else _finite(analysis["m0"], "analysis.m0")),
+                test_r=_finite(analysis.get("test_r", 0.5), "analysis.test_r"),
+                test_x0=_finite(analysis.get("test_x0", 0.5), "analysis.test_x0"),
+                test_h=_finite(analysis.get("test_h", 0.5), "analysis.test_h"),
+                heavy_subdivisions=tuple(
+                    _integer(n, "analysis.heavy_subdivisions") for n in heavy
+                ),
                 tests=tuple(tests),
-                workers=int(raw.get("workers", 1)),
+                workers=_integer(raw.get("workers", 1), "workers"),
                 out_dir=raw.get("out_dir"),
             )
         except (TypeError, ValueError) as exc:
@@ -370,6 +391,24 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _integer(value, name: str) -> int:
+    """An integral JSON number as an int; booleans and fractions are errors."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(value, name: str) -> float:
+    """A finite JSON number as a float; booleans, NaN and infinities are errors."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = float(value)
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a JSON config file."""
     try:
@@ -383,205 +422,182 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-path worker
+# per-path record
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PathRecord:
-    """Everything the aggregation stage keeps from one path."""
+def _per_path(dtype, fill, width: int | str | None = None):
+    """Declare a column with one row per path.
 
-    index: int
-    seed: int
-    cap: float
-    drift: float
-    n_jumps: int
-    zero_mass: bool
-    persist: np.ndarray
-    max_persist: np.ndarray
-    equiv_ok: bool
-    terminal_mass: float
-    mass_at_r: float
-    atom: float
-    support: float
-    L_incr: float
-    L_ref: float
-    stat_valid: bool
-    covers_window: bool
-    ratio_counts: tuple[int, int]
-    loglog_counts: np.ndarray
-    biscale_raw: int
-    biscale_scaled: int
-    biscale_scaled_alt: int
-    heavy_valid: bool
-    heavy_counts: tuple[int, int]
-    sizes: np.ndarray
-    dump_locs: np.ndarray
-    dump_sizes: np.ndarray
+    ``width`` is None for one value per path, a number of values, or the
+    name of the config sequence whose length gives it.  A row keeps
+    ``fill`` when its path fails or does not reach the computation.
+    """
+    return field(metadata={"dtype": dtype, "fill": fill, "width": width})
 
 
-def _compute_path(config: ExperimentConfig, index: int) -> PathRecord:
-    spec = config.spec()
-    seed = derive_path_seed(config.master_seed, index)
-    path = sample(spec, seed)
-    delta = config.delta
-    n = config.grid_size
-    t_grid = np.asarray(config.t_grid)
-    k_grid = np.minimum(np.round(t_grid / delta).astype(np.int64), n)
-
-    running_max = np.maximum.accumulate(path.values)
-    max_persist = running_max[k_grid] <= 1.0
-
-    profile = estimate_local_time(path, config.epsilon)
-    del path
-    cum = profile.cumulative
-    a = config.threshold
-    persist = cum[k_grid] <= a
-    # cross-check of the two event encodings: the exact grid inverse of the
-    # profile at level a exceeds T iff the profile at T stays at or below a
-    inv_idx = int(np.searchsorted(cum, a, side="right"))
-    equiv_ok = bool(np.all(persist == (inv_idx > k_grid)))
-
-    increments = np.diff(cum)
-    atom = float(np.max(increments))
-    support = float(np.mean(increments > 0.0))
-    terminal_mass = float(cum[-1])
-    mass_at_r = float(cum[int(round(config.test_r * n))])
-
-    L = invert_profile(profile)
-    del profile
-    cap = L.total_mass_cap
-
-    x0, h = config.test_x0, config.test_h
-    stat_valid = cap >= x0 + 2.0 * h
-    if stat_valid:
-        L_incr = L.evaluate(x0 + h) - L.evaluate(x0)
-        L_ref = L.evaluate(x0 + 2.0 * h) - L.evaluate(x0 + h)
-    else:
-        L_incr = L_ref = float("nan")
-
-    xw = config.x_window
-    covers = cap >= xw
-    r_ratio = config.ratio_r_resolved
-    loglog_thr = config.loglog_thresholds
-    if covers:
-        counts = window_exceedance_counts(L, xw, (r_ratio, 4.0 * r_ratio) + loglog_thr)
-        ratio_counts = (int(counts[0]), int(counts[1]))
-        loglog_counts = counts[2:]
-        points = jumps_to_empp(L, (0.0, xw))
-        m0 = config.m0_resolved
-        r_t = config.test_r
-        biscale_raw = points.count(xw, m0)
-        biscale_scaled = rescale_empp(points, r_t, config.beta).count(xw, m0)
-        biscale_scaled_alt = rescale_empp(points, r_t, config.beta / 2.0).count(xw, m0)
-    else:
-        ratio_counts = (0, 0)
-        loglog_counts = np.zeros(len(loglog_thr), dtype=np.int64)
-        biscale_raw = biscale_scaled = biscale_scaled_alt = 0
-
-    heavy_valid = cap >= 1.0
-    if heavy_valid:
-        n1, n2 = config.heavy_subdivisions
-        heavy_counts = (
-            count_heavy_subintervals(L, int(n1), r_ratio),
-            count_heavy_subintervals(L, int(n2), r_ratio),
-        )
-    else:
-        heavy_counts = (-1, -1)
-
-    # the jump at level 0, when present, is the censored leading stretch;
-    # it is kept out of the mark pool and the dump like any other censoring
-    interior = L.locations > 0.0
-    dump_floor = config.m0_resolved / 2.0
-    keep = (L.sizes >= dump_floor) & interior
-    return PathRecord(
-        index=index,
-        seed=seed,
-        cap=cap,
-        drift=L.drift,
-        n_jumps=L.n_jumps,
-        zero_mass=cap == 0.0,
-        persist=persist,
-        max_persist=max_persist,
-        equiv_ok=equiv_ok,
-        terminal_mass=terminal_mass,
-        mass_at_r=mass_at_r,
-        atom=atom,
-        support=support,
-        L_incr=float(L_incr),
-        L_ref=float(L_ref),
-        stat_valid=bool(stat_valid),
-        covers_window=bool(covers),
-        ratio_counts=ratio_counts,
-        loglog_counts=np.asarray(loglog_counts, dtype=np.int64),
-        biscale_raw=int(biscale_raw),
-        biscale_scaled=int(biscale_scaled),
-        biscale_scaled_alt=int(biscale_scaled_alt),
-        heavy_valid=heavy_valid,
-        heavy_counts=heavy_counts,
-        sizes=L.sizes[interior].copy(),
-        dump_locs=L.locations[keep].copy(),
-        dump_sizes=L.sizes[keep].copy(),
-    )
-
-
-def _compute_chunk(
-    config: ExperimentConfig, lo: int, hi: int
-) -> tuple[list[PathRecord], list[tuple[int, str]]]:
-    """Records for path indices [lo, hi); failures isolated per path."""
-    records: list[PathRecord] = []
-    failures: list[tuple[int, str]] = []
-    for index in range(lo, hi):
-        try:
-            records.append(_compute_path(config, index))
-        except Exception as exc:  # noqa: BLE001 - crash isolation by contract
-            failures.append((index, f"{type(exc).__name__}: {exc}"))
-    return records, failures
-
-
-# ---------------------------------------------------------------------------
-# aggregation
-# ---------------------------------------------------------------------------
+def _pooled(dtype):
+    """Declare a column that pools variable-length pieces in path-index order."""
+    return field(metadata={"dtype": dtype, "pooled": True})
 
 
 @dataclass
 class EnsembleSummary:
-    """Aggregated per-path records of one run, in path-index order."""
+    """Per-path results of one run, in path-index order.
+
+    Every field but ``config`` and ``failures`` is a column declared here
+    and nowhere else: ``run_paths`` allocates, fills and concatenates the
+    columns from these declarations.
+    """
 
     config: ExperimentConfig
-    ok: np.ndarray
-    seeds: np.ndarray
-    caps: np.ndarray
-    drifts: np.ndarray
-    n_jumps: np.ndarray
-    zero_mass: np.ndarray
-    persist: np.ndarray
-    max_persist: np.ndarray
-    equiv_all: bool
-    terminal_mass: np.ndarray
-    mass_at_r: np.ndarray
-    atoms: np.ndarray
-    supports: np.ndarray
-    L_incr: np.ndarray
-    L_ref: np.ndarray
-    stat_valid: np.ndarray
-    covers_window: np.ndarray
-    ratio_counts: np.ndarray
-    loglog_counts: np.ndarray
-    biscale_raw: np.ndarray
-    biscale_scaled: np.ndarray
-    biscale_scaled_alt: np.ndarray
-    heavy_valid: np.ndarray
-    heavy_counts: np.ndarray
-    marks_pool: np.ndarray
-    dump_index: np.ndarray
-    dump_locs: np.ndarray
-    dump_sizes: np.ndarray
+    ok: np.ndarray = _per_path(bool, False)
+    seeds: np.ndarray = _per_path(np.uint64, 0)
+    caps: np.ndarray = _per_path(np.float64, np.nan)
+    drifts: np.ndarray = _per_path(np.float64, np.nan)
+    n_jumps: np.ndarray = _per_path(np.int64, 0)
+    zero_mass: np.ndarray = _per_path(bool, False)
+    persist: np.ndarray = _per_path(bool, False, "t_grid")
+    max_persist: np.ndarray = _per_path(bool, False, "t_grid")
+    terminal_mass: np.ndarray = _per_path(np.float64, np.nan)
+    mass_at_r: np.ndarray = _per_path(np.float64, np.nan)
+    atoms: np.ndarray = _per_path(np.float64, np.nan)
+    supports: np.ndarray = _per_path(np.float64, np.nan)
+    L_incr: np.ndarray = _per_path(np.float64, np.nan)
+    L_ref: np.ndarray = _per_path(np.float64, np.nan)
+    stat_valid: np.ndarray = _per_path(bool, False)
+    covers_window: np.ndarray = _per_path(bool, False)
+    ratio_counts: np.ndarray = _per_path(np.int64, 0, 2)
+    loglog_counts: np.ndarray = _per_path(np.int64, 0, "loglog_thresholds")
+    biscale_raw: np.ndarray = _per_path(np.int64, 0)
+    biscale_scaled: np.ndarray = _per_path(np.int64, 0)
+    biscale_scaled_alt: np.ndarray = _per_path(np.int64, 0)
+    heavy_valid: np.ndarray = _per_path(bool, False)
+    heavy_counts: np.ndarray = _per_path(np.int64, -1, "heavy_subdivisions")
+    # interior jump sizes of every path
+    marks_pool: np.ndarray = _pooled(np.float64)
+    # interior jumps of at least m0 / 2, with the index of their path
+    dump_index: np.ndarray = _pooled(np.int64)
+    dump_locs: np.ndarray = _pooled(np.float64)
+    dump_sizes: np.ndarray = _pooled(np.float64)
     failures: list = field(default_factory=list)
 
     @property
     def n_ok(self) -> int:
         return int(np.count_nonzero(self.ok))
+
+
+_COLUMNS = tuple(f for f in fields(EnsembleSummary) if "dtype" in f.metadata)
+
+
+def _compute_path(config: ExperimentConfig, index: int) -> dict:
+    """One path's values, keyed by the columns they fill."""
+    spec = config.spec()
+    seed = derive_path_seed(config.master_seed, index)
+    path = sample(spec, seed)
+    n = config.grid_size
+    k_grid = np.minimum(np.round(np.asarray(config.t_grid) / config.delta).astype(np.int64), n)
+    max_persist = np.maximum.accumulate(path.values)[k_grid] <= 1.0
+
+    profile = estimate_local_time(path, config.epsilon)
+    del path
+    cum = profile.cumulative
+    values = dict(
+        seeds=seed,
+        persist=cum[k_grid] <= config.threshold,
+        max_persist=max_persist,
+        terminal_mass=cum[-1],
+        mass_at_r=cum[int(round(config.test_r * n))],
+        atoms=atom_diagnostic(profile),
+        supports=support_diagnostic(profile),
+    )
+
+    L = invert_profile(profile)
+    del profile
+    cap = L.total_mass_cap
+    x0, h, xw = config.test_x0, config.test_h, config.x_window
+    stat_valid, covers, heavy_valid = cap >= x0 + 2.0 * h, cap >= xw, cap >= 1.0
+    # the jump at level 0, when present, is the censored leading stretch;
+    # it is kept out of the mark pool and the dump like any other censoring
+    interior = L.locations > 0.0
+    keep = (L.sizes >= config.m0_resolved / 2.0) & interior
+    values.update(
+        caps=cap,
+        drifts=L.drift,
+        n_jumps=L.n_jumps,
+        zero_mass=cap == 0.0,
+        stat_valid=stat_valid,
+        covers_window=covers,
+        heavy_valid=heavy_valid,
+        marks_pool=L.sizes[interior],
+        dump_index=np.full(np.count_nonzero(keep), index, dtype=np.int64),
+        dump_locs=L.locations[keep],
+        dump_sizes=L.sizes[keep],
+    )
+    if stat_valid:
+        values["L_incr"] = L.evaluate(x0 + h) - L.evaluate(x0)
+        values["L_ref"] = L.evaluate(x0 + 2.0 * h) - L.evaluate(x0 + h)
+
+    r_ratio = config.ratio_r_resolved
+    if covers:
+        counts = window_exceedance_counts(
+            L, xw, (r_ratio, 4.0 * r_ratio) + config.loglog_thresholds
+        )
+        points = jumps_to_empp(L, (0.0, xw))
+        m0, r_t, beta = config.m0_resolved, config.test_r, config.beta
+        values.update(
+            ratio_counts=counts[:2],
+            loglog_counts=counts[2:],
+            biscale_raw=points.count(xw, m0),
+            biscale_scaled=rescale_empp(points, r_t, beta).count(xw, m0),
+            biscale_scaled_alt=rescale_empp(points, r_t, beta / 2.0).count(xw, m0),
+        )
+
+    if heavy_valid:
+        values["heavy_counts"] = [
+            count_heavy_subintervals(L, int(n_sub), r_ratio)
+            for n_sub in config.heavy_subdivisions
+        ]
+    return values
+
+
+def _compute_chunk(
+    config: ExperimentConfig, lo: int, hi: int
+) -> tuple[dict[str, np.ndarray], list[tuple[int, str]]]:
+    """Columns for path indices [lo, hi); failures isolated per path."""
+    rows: dict[str, np.ndarray] = {}
+    pieces: dict[str, list[np.ndarray]] = {}
+    for f in _COLUMNS:
+        meta = f.metadata
+        if meta.get("pooled"):
+            pieces[f.name] = [np.empty(0, dtype=meta["dtype"])]
+            continue
+        width = meta["width"]
+        if isinstance(width, str):
+            width = len(getattr(config, width))
+        shape = (hi - lo,) if width is None else (hi - lo, width)
+        rows[f.name] = np.full(shape, meta["fill"], dtype=meta["dtype"])
+
+    failures: list[tuple[int, str]] = []
+    for row, index in enumerate(range(lo, hi)):
+        try:
+            values = _compute_path(config, index)
+        except Exception as exc:  # noqa: BLE001 - crash isolation by contract
+            failures.append((index, f"{type(exc).__name__}: {exc}"))
+            continue
+        rows["ok"][row] = True
+        for name, value in values.items():
+            if name in pieces:
+                pieces[name].append(value)
+            else:
+                rows[name][row] = value
+    rows.update((name, np.concatenate(parts)) for name, parts in pieces.items())
+    return rows, failures
+
+
+# ---------------------------------------------------------------------------
+# aggregation
+# ---------------------------------------------------------------------------
 
 
 def _chunk_ranges(n_paths: int, workers: int) -> list[tuple[int, int]]:
@@ -591,115 +607,47 @@ def _chunk_ranges(n_paths: int, workers: int) -> list[tuple[int, int]]:
 
 def _iter_chunks(
     config: ExperimentConfig, workers: int
-) -> Iterable[tuple[list[PathRecord], list[tuple[int, str]]]]:
+) -> Iterable[tuple[dict[str, np.ndarray], list[tuple[int, str]]]]:
     ranges = _chunk_ranges(config.n_paths, workers)
     if workers <= 1:
         for lo, hi in ranges:
             yield _compute_chunk(config, lo, hi)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             futures = [pool.submit(_compute_chunk, config, lo, hi) for lo, hi in ranges]
             for fut in futures:
                 yield fut.result()
+        finally:
+            # when the caller stops early, chunks not yet started never run
+            pool.shutdown(cancel_futures=True)
 
 
 def run_paths(config: ExperimentConfig, workers: int | None = None) -> EnsembleSummary:
-    """Compute the full ensemble and aggregate records in index order.
+    """Compute the full ensemble and concatenate the chunks in index order.
 
     Per-path failures are tolerated up to MAX_FAILURE_FRACTION of the
     ensemble and excluded from every analysis; beyond that the run aborts.
     """
     n = config.n_paths
-    n_t = len(config.t_grid)
-    n_thr = len(config.loglog_thresholds)
     workers = config.workers if workers is None else workers
-
-    out = EnsembleSummary(
-        config=config,
-        ok=np.zeros(n, dtype=bool),
-        seeds=np.zeros(n, dtype=np.uint64),
-        caps=np.full(n, np.nan),
-        drifts=np.full(n, np.nan),
-        n_jumps=np.zeros(n, dtype=np.int64),
-        zero_mass=np.zeros(n, dtype=bool),
-        persist=np.zeros((n, n_t), dtype=bool),
-        max_persist=np.zeros((n, n_t), dtype=bool),
-        equiv_all=True,
-        terminal_mass=np.full(n, np.nan),
-        mass_at_r=np.full(n, np.nan),
-        atoms=np.full(n, np.nan),
-        supports=np.full(n, np.nan),
-        L_incr=np.full(n, np.nan),
-        L_ref=np.full(n, np.nan),
-        stat_valid=np.zeros(n, dtype=bool),
-        covers_window=np.zeros(n, dtype=bool),
-        ratio_counts=np.zeros((n, 2), dtype=np.int64),
-        loglog_counts=np.zeros((n, n_thr), dtype=np.int64),
-        biscale_raw=np.zeros(n, dtype=np.int64),
-        biscale_scaled=np.zeros(n, dtype=np.int64),
-        biscale_scaled_alt=np.zeros(n, dtype=np.int64),
-        heavy_valid=np.zeros(n, dtype=bool),
-        heavy_counts=np.full((n, 2), -1, dtype=np.int64),
-        marks_pool=np.empty(0),
-        dump_index=np.empty(0, dtype=np.int64),
-        dump_locs=np.empty(0),
-        dump_sizes=np.empty(0),
-    )
-
-    marks_parts: list[np.ndarray] = []
-    dump_idx_parts: list[np.ndarray] = []
-    dump_loc_parts: list[np.ndarray] = []
-    dump_size_parts: list[np.ndarray] = []
     max_failures = max(1, int(MAX_FAILURE_FRACTION * n))
-
-    for records, failures in _iter_chunks(config, workers):
-        out.failures.extend(failures)
-        if len(out.failures) > max_failures:
-            sample_msgs = "; ".join(f"path {i}: {m}" for i, m in out.failures[:3])
+    chunks: list[dict[str, np.ndarray]] = []
+    failures: list[tuple[int, str]] = []
+    for columns, chunk_failures in _iter_chunks(config, workers):
+        failures.extend(chunk_failures)
+        if len(failures) > max_failures:
+            sample_msgs = "; ".join(f"path {i}: {m}" for i, m in failures[:3])
             raise RuntimeError(
-                f"{len(out.failures)} of {n} paths failed "
+                f"{len(failures)} of {n} paths failed "
                 f"(limit {max_failures}); first errors: {sample_msgs}"
             )
-        for rec in records:
-            i = rec.index
-            out.ok[i] = True
-            out.seeds[i] = rec.seed
-            out.caps[i] = rec.cap
-            out.drifts[i] = rec.drift
-            out.n_jumps[i] = rec.n_jumps
-            out.zero_mass[i] = rec.zero_mass
-            out.persist[i] = rec.persist
-            out.max_persist[i] = rec.max_persist
-            out.equiv_all = out.equiv_all and rec.equiv_ok
-            out.terminal_mass[i] = rec.terminal_mass
-            out.mass_at_r[i] = rec.mass_at_r
-            out.atoms[i] = rec.atom
-            out.supports[i] = rec.support
-            out.L_incr[i] = rec.L_incr
-            out.L_ref[i] = rec.L_ref
-            out.stat_valid[i] = rec.stat_valid
-            out.covers_window[i] = rec.covers_window
-            out.ratio_counts[i] = rec.ratio_counts
-            out.loglog_counts[i] = rec.loglog_counts
-            out.biscale_raw[i] = rec.biscale_raw
-            out.biscale_scaled[i] = rec.biscale_scaled
-            out.biscale_scaled_alt[i] = rec.biscale_scaled_alt
-            out.heavy_valid[i] = rec.heavy_valid
-            out.heavy_counts[i] = rec.heavy_counts
-            if len(rec.sizes):
-                marks_parts.append(rec.sizes)
-            if len(rec.dump_locs):
-                dump_idx_parts.append(np.full(len(rec.dump_locs), i, dtype=np.int64))
-                dump_loc_parts.append(rec.dump_locs)
-                dump_size_parts.append(rec.dump_sizes)
-
-    if marks_parts:
-        out.marks_pool = np.concatenate(marks_parts)
-    if dump_loc_parts:
-        out.dump_index = np.concatenate(dump_idx_parts)
-        out.dump_locs = np.concatenate(dump_loc_parts)
-        out.dump_sizes = np.concatenate(dump_size_parts)
-    return out
+        chunks.append(columns)
+    return EnsembleSummary(
+        config=config,
+        failures=failures,
+        **{f.name: np.concatenate([c[f.name] for c in chunks]) for f in _COLUMNS},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -972,6 +920,50 @@ class RunManifest:
         return os.path.join(self.out_dir, "manifest.json")
 
 
+def _make_out_dir(config: ExperimentConfig, out_dir: str | None) -> str:
+    out_dir = out_dir or config.out_dir
+    if not out_dir:
+        raise ConfigError("an output directory is required (config out_dir or --out)")
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
+def _write_manifest(
+    config: ExperimentConfig,
+    out_dir: str,
+    stages: Sequence[str],
+    files: Sequence[str],
+    counters: dict,
+    timings: dict,
+    **extra,
+) -> RunManifest:
+    """Checksum the written files, then write and return the run's manifest."""
+    outputs = {name: _sha256(os.path.join(out_dir, name)) for name in sorted(files)}
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "toolkit_version": TOOLKIT_VERSION,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "config": config.to_dict(),
+        "config_hash": config.config_hash(),
+        "stages": list(stages),
+        "counters": counters,
+        "timings_seconds": timings,
+        "outputs": outputs,
+        **extra,
+    }
+    manifest = RunManifest(
+        config_hash=payload["config_hash"],
+        out_dir=out_dir,
+        stages=tuple(stages),
+        outputs=outputs,
+        counters=counters,
+        timings=timings,
+        payload=payload,
+    )
+    _write_json(manifest.path(), payload)
+    return manifest
+
+
 def run_experiment(
     config: ExperimentConfig,
     stages: Sequence[str] = ("persist", "excursions", "invariants"),
@@ -982,16 +974,13 @@ def run_experiment(
 
     Returns the manifest, whose ``outputs`` map file names to SHA-256
     checksums.  Identical configs reproduce identical checksums for any
-    worker count because every record is a pure function of (config, seed)
-    and aggregation is index-ordered.
+    worker count because every path's row is a pure function of (config,
+    seed) and chunks are concatenated in index order.
     """
     unknown = set(stages) - set(_STAGES)
     if unknown:
         raise ConfigError(f"unknown stages {sorted(unknown)}; valid: {sorted(_STAGES)}")
-    out_dir = out_dir or config.out_dir
-    if not out_dir:
-        raise ConfigError("an output directory is required (config out_dir or --out)")
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out_dir(config, out_dir)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -1015,7 +1004,6 @@ def run_experiment(
         "zero_mass_paths": int(np.count_nonzero(summary.zero_mass[summary.ok])),
         "stationarity_excluded": int(np.count_nonzero(summary.ok) - np.count_nonzero(summary.stat_valid[summary.ok])),
         "window_excluded": int(np.count_nonzero(summary.ok) - np.count_nonzero(summary.covers_window[summary.ok])),
-        "event_encodings_agree": bool(summary.equiv_all),
         "marks_pooled": int(len(summary.marks_pool)),
         "mean_drift": (
             float(np.nanmean(summary.drifts[summary.ok])) if summary.n_ok else None
@@ -1034,33 +1022,12 @@ def run_experiment(
         resolved["rosenblatt_calibration"] = rosenblatt_calibration(
             cfg.hurst, cfg.grid_size * cfg.micro_factor
         )
-
-    manifest_payload = {
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": TOOLKIT_VERSION,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "stages": list(stages),
-        "resolved": resolved,
-        "counters": counters,
-        "stage_info": stage_info,
-        "failures": [{"index": i, "error": m} for i, m in summary.failures],
-        "timings_seconds": timings,
-    }
-    outputs = {name: _sha256(os.path.join(out_dir, name)) for name in sorted(files)}
-    manifest_payload["outputs"] = outputs
-    manifest = RunManifest(
-        config_hash=manifest_payload["config_hash"],
-        out_dir=out_dir,
-        stages=tuple(stages),
-        outputs=outputs,
-        counters=counters,
-        timings=timings,
-        payload=manifest_payload,
+    return _write_manifest(
+        cfg, out_dir, stages, files, counters, timings,
+        resolved=resolved,
+        stage_info=stage_info,
+        failures=[{"index": i, "error": m} for i, m in summary.failures],
     )
-    _write_json(manifest.path(), manifest_payload)
-    return manifest
 
 
 def dump_paths(
@@ -1071,10 +1038,7 @@ def dump_paths(
     Debug-oriented stage: the full trajectories are written, so it is meant
     for small ensembles.
     """
-    out_dir = out_dir or config.out_dir
-    if not out_dir:
-        raise ConfigError("an output directory is required (config out_dir or --out)")
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out_dir(config, out_dir)
     spec = config.spec()
     times = np.arange(config.grid_size + 1) * config.delta
     t0 = time.perf_counter()
@@ -1088,29 +1052,9 @@ def dump_paths(
             for t, x in zip(times, path.values):
                 writer.writerow((index, _fmt(t), _fmt(x)))
     timings = {"paths": time.perf_counter() - t0}
-    outputs = {"paths.csv": _sha256(path_file)}
-    manifest_payload = {
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": TOOLKIT_VERSION,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "stages": ["simulate"],
-        "counters": {"n_paths": config.n_paths},
-        "timings_seconds": timings,
-        "outputs": outputs,
-    }
-    manifest = RunManifest(
-        config_hash=manifest_payload["config_hash"],
-        out_dir=out_dir,
-        stages=("simulate",),
-        outputs=outputs,
-        counters=manifest_payload["counters"],
-        timings=timings,
-        payload=manifest_payload,
+    return _write_manifest(
+        config, out_dir, ("simulate",), ["paths.csv"], {"n_paths": config.n_paths}, timings
     )
-    _write_json(manifest.path(), manifest_payload)
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -1178,13 +1122,6 @@ def report(run_dirs: Sequence[str], out_dir: str, check: bool = False) -> tuple[
         lines.append("")
 
         counters = manifest.get("counters", {})
-        if "event_encodings_agree" in counters:
-            agree = bool(counters["event_encodings_agree"])
-            checks.append(agree)
-            lines.append(
-                f"- event encodings (profile vs inverse) agree on all paths: "
-                f"**{'PASS' if agree else 'FAIL'}**"
-            )
         if counters.get("n_failed"):
             lines.append(f"- failed paths: {counters['n_failed']}")
         if counters.get("zero_mass_paths") is not None:

@@ -129,6 +129,24 @@ def test_config_value_validation():
         _config(analysis={"test_r": 1.0})
     with pytest.raises(ConfigError):
         _config(analysis={"heavy_subdivisions": [1024]})
+    # malformed values are rejected, never truncated or coerced
+    with pytest.raises(ConfigError):
+        _config(n_paths=1.5)
+    with pytest.raises(ConfigError):
+        _config(workers=2.7)
+    with pytest.raises(ConfigError):
+        _config(master_seed=True)
+    with pytest.raises(ConfigError):
+        _config(threshold=float("inf"))
+    with pytest.raises(ConfigError):
+        _config(epsilon={"c": float("nan")})
+    with pytest.raises(ConfigError):
+        _config(tests="bi_scale")
+    with pytest.raises(ConfigError):
+        _config(n_paths="24")
+    with pytest.raises(ConfigError):
+        _config(epsilon={"exponent_is_hurst": "false"})
+    assert _config(n_paths=24.0).n_paths == 24
 
 
 def test_config_round_trip_and_hash():
@@ -170,12 +188,10 @@ def test_run_paths_deterministic_across_worker_counts():
     np.testing.assert_array_equal(one.loglog_counts, two.loglog_counts)
     np.testing.assert_array_equal(one.dump_locs, two.dump_locs)
     np.testing.assert_array_equal(one.dump_sizes, two.dump_sizes)
-    assert one.equiv_all and two.equiv_all
 
 
-def test_run_paths_event_encodings_agree():
+def test_run_paths_all_paths_ok():
     summary = run_paths(_config(n_paths=40), workers=1)
-    assert summary.equiv_all is True
     assert summary.n_ok == 40
     assert len(summary.failures) == 0
 
@@ -208,6 +224,145 @@ def test_run_paths_isolates_and_limits_failures(monkeypatch):
     assert summary.n_ok == 199
 
 
+def test_run_paths_abort_skips_chunks_not_started(monkeypatch, tmp_path):
+    import zeroset.orchestration as orch
+
+    real = orch.sample
+    calls = tmp_path / "calls"
+
+    def half_fail(spec, seed):
+        with open(calls, "a") as fh:
+            fh.write(".")
+        if seed % 2:
+            raise RuntimeError("synthetic failure")
+        return real(spec, seed)
+
+    # the pool forks its workers, so they call the patched sampler too
+    monkeypatch.setattr(orch, "sample", half_fail)
+    cfg = _config(
+        n_paths=32 * orch.CHUNK_TARGET,
+        process={"family": "bm", "hurst": 0.5, "horizon": 8.0, "grid_size": 4096},
+    )
+    with pytest.raises(RuntimeError, match="paths failed"):
+        run_paths(cfg, workers=2)
+    assert calls.stat().st_size < cfg.n_paths / 2
+
+
+def test_run_paths_columns_match_the_library(monkeypatch):
+    """Each run_paths column against the public per-path functions.
+
+    Some columns (seeds, caps, drifts, n_jumps, zero_mass, atoms,
+    supports) never reach a stage file, so the stage checksums cannot catch
+    a mis-wired one.  Path 5 fails and must keep the fill values.
+    """
+    from dataclasses import fields
+
+    import zeroset.orchestration as orch
+    from zeroset import (
+        EnsembleSummary,
+        atom_diagnostic,
+        count_heavy_subintervals,
+        derive_path_seed,
+        estimate_local_time,
+        invert_profile,
+        jumps_to_empp,
+        max_persistence_indicator,
+        persistence_indicator,
+        rescale_empp,
+        support_diagnostic,
+    )
+    from zeroset.pointprocess import window_exceedance_counts
+
+    real = orch.sample
+    failed = 5
+
+    def fail_one(spec, seed):
+        if seed == derive_path_seed(7, failed):
+            raise RuntimeError("synthetic failure")
+        return real(spec, seed)
+
+    monkeypatch.setattr(orch, "sample", fail_one)
+    cfg = _config(n_paths=8)
+    summary = run_paths(cfg, workers=1)
+
+    nan = float("nan")
+    n_t, n_thr = len(cfg.t_grid), len(cfg.loglog_thresholds)
+    rows = []
+    pooled = {"marks_pool": [], "dump_index": [], "dump_locs": [], "dump_sizes": []}
+    for i in range(cfg.n_paths):
+        if i == failed:
+            rows.append(dict(
+                ok=False, seeds=0, caps=nan, drifts=nan, n_jumps=0, zero_mass=False,
+                persist=[False] * n_t, max_persist=[False] * n_t, terminal_mass=nan,
+                mass_at_r=nan, atoms=nan, supports=nan, L_incr=nan, L_ref=nan,
+                stat_valid=False, covers_window=False, ratio_counts=[0, 0],
+                loglog_counts=[0] * n_thr, biscale_raw=0, biscale_scaled=0,
+                biscale_scaled_alt=0, heavy_valid=False, heavy_counts=[-1, -1],
+            ))
+            continue
+        seed = derive_path_seed(cfg.master_seed, i)
+        path = real(cfg.spec(), seed)
+        profile = estimate_local_time(path, cfg.epsilon)
+        L = invert_profile(profile)
+        cap = L.total_mass_cap
+        x0, h, xw = cfg.test_x0, cfg.test_h, cfg.x_window
+        r, m0, r_t = cfg.ratio_r_resolved, cfg.m0_resolved, cfg.test_r
+        row = dict(
+            ok=True, seeds=seed, caps=profile.total_mass, drifts=L.drift,
+            n_jumps=L.n_jumps, zero_mass=cap == 0.0,
+            persist=[persistence_indicator(profile, T, cfg.threshold) for T in cfg.t_grid],
+            max_persist=[max_persistence_indicator(path, T) for T in cfg.t_grid],
+            terminal_mass=profile.total_mass,
+            mass_at_r=profile.cumulative[round(r_t * cfg.grid_size)],
+            atoms=atom_diagnostic(profile), supports=support_diagnostic(profile),
+            stat_valid=cap >= x0 + 2.0 * h, covers_window=cap >= xw,
+            heavy_valid=cap >= 1.0,
+        )
+        if row["stat_valid"]:
+            row["L_incr"] = L.evaluate(x0 + h) - L.evaluate(x0)
+            row["L_ref"] = L.evaluate(x0 + 2.0 * h) - L.evaluate(x0 + h)
+        else:
+            row["L_incr"] = row["L_ref"] = nan
+        if row["covers_window"]:
+            points = jumps_to_empp(L, (0.0, xw))
+            row.update(
+                ratio_counts=window_exceedance_counts(L, xw, [r, 4.0 * r]),
+                loglog_counts=window_exceedance_counts(L, xw, cfg.loglog_thresholds),
+                biscale_raw=points.count(xw, m0),
+                biscale_scaled=rescale_empp(points, r_t, cfg.beta).count(xw, m0),
+                biscale_scaled_alt=rescale_empp(points, r_t, cfg.beta / 2).count(xw, m0),
+            )
+        else:
+            row.update(ratio_counts=[0, 0], loglog_counts=[0] * n_thr,
+                       biscale_raw=0, biscale_scaled=0, biscale_scaled_alt=0)
+        row["heavy_counts"] = (
+            [count_heavy_subintervals(L, n, r) for n in cfg.heavy_subdivisions]
+            if row["heavy_valid"] else [-1, -1]
+        )
+        rows.append(row)
+        interior = L.locations > 0.0
+        dumped = interior & (L.sizes >= m0 / 2.0)
+        pooled["marks_pool"].append(L.sizes[interior])
+        pooled["dump_index"].append(np.full(np.count_nonzero(dumped), i))
+        pooled["dump_locs"].append(L.locations[dumped])
+        pooled["dump_sizes"].append(L.sizes[dumped])
+
+    expected = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    expected.update((name, np.concatenate(parts)) for name, parts in pooled.items())
+    columns = {f.name for f in fields(EnsembleSummary)} - {"config", "failures"}
+    assert set(expected) == columns
+    for name in sorted(columns):
+        actual = getattr(summary, name)
+        assert actual.shape == expected[name].shape, name
+        np.testing.assert_array_equal(actual, expected[name], err_msg=name)
+    assert summary.seeds.dtype == np.uint64
+    assert summary.persist.dtype == bool
+    assert summary.heavy_counts.dtype == np.int64
+    # the paths reach both sides of each validity cut
+    for name in ("stat_valid", "covers_window", "heavy_valid"):
+        assert 0 < np.count_nonzero(getattr(summary, name)) < summary.n_ok, name
+
+
 # ---------------------------------------------------------------------------
 # stage outputs
 # ---------------------------------------------------------------------------
@@ -225,7 +380,6 @@ def test_run_experiment_outputs(tmp_path):
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["config_hash"] == cfg.config_hash()
     assert payload["counters"]["n_ok"] == 40
-    assert payload["counters"]["event_encodings_agree"] is True
     assert payload["resolved"]["epsilon"] == pytest.approx(cfg.epsilon)
 
     with open(tmp_path / "run" / "curve.csv", newline="") as fh:
@@ -294,8 +448,7 @@ def _fake_run_dir(tmp_path, name, kappa, hurst=0.5):
         "schema_version": 1,
         "config": cfg,
         "config_hash": "f" * 64,
-        "counters": {"event_encodings_agree": True, "n_failed": 0,
-                     "zero_mass_paths": 0},
+        "counters": {"n_failed": 0, "zero_mass_paths": 0},
     }))
     (run / "fit.json").write_text(json.dumps({
         "kappa_hat": kappa, "c_hat": 0.8, "stderr_kappa": 0.01,
