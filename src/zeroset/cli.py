@@ -5,7 +5,8 @@ Subcommands map to the run stages: ``simulate`` dumps raw trajectories,
 that stage's outputs (plus a manifest), and ``report`` assembles a summary
 document from one or more finished run directories.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when ``report
+Exit codes: 0 on success, 1 when a run aborts (too many failed paths, or
+a worker process died), 2 on configuration errors, 3 when ``report
 --check`` finds a failing check.
 """
 
@@ -88,6 +89,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"run aborted: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,11 +7,15 @@ drawn from disjoint halves of an ensemble.  Splitting the ensemble keeps
 the two samples independent, which the KS null distribution requires;
 statistics from the same path would be strongly dependent.
 
-The object-level tests extract one statistic per path and delegate to the
-``*_from_values`` functions, which the experiment driver also feeds
-directly from its per-path record arrays.  Exclusion of paths that lack
-the required local-time mass happens before the ensemble is split, so both
-halves face the same selection.
+Each test is split in two.  A per-path function reduces one path to its
+statistics (``self_similarity_masses``, ``stationarity_increments``; the
+bi-scale counts come from ``MarkedPointSet.count`` and ``rescale_empp``),
+and a ``*_from_values`` function compares the ensemble's statistics.  The
+object-level tests chain the two; the experiment driver calls the same
+per-path functions on every path and feeds its columns to the same
+``*_from_values`` functions.  Exclusion of paths that lack the required
+local-time mass happens before the ensemble is split, so both halves face
+the same selection.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .pointprocess import MarkedPointSet, rescale_empp
 __all__ = [
     "TestReport",
     "ks_two_sample",
+    "self_similarity_masses",
+    "stationarity_increments",
     "stationarity_test_from_values",
     "self_similarity_test_from_values",
     "bi_scale_test_from_counts",
@@ -96,6 +102,32 @@ def _filter_and_split(valid: np.ndarray, what: str) -> tuple[np.ndarray, np.ndar
     return first, second
 
 
+def self_similarity_masses(profile: LocalTimeProfile, r: float) -> tuple[float, float]:
+    """Profile mass at r * T_max and at T_max, the pair self-similarity relates."""
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"r must lie in (0, 1), got {r}")
+    return float(profile.cumulative[int(round(r * profile.grid_size))]), profile.total_mass
+
+
+def stationarity_increments(
+    L: JumpFunction, x0: float, h: float
+) -> tuple[float, float] | None:
+    """(L(x0 + h) - L(x0), L(x0 + 2h) - L(x0 + h)) for one path.
+
+    None when the path's mass cap stops below the top level, so that it
+    cannot supply both increments.
+    """
+    if x0 < 0.0:
+        raise ValueError(f"x0 must be non-negative, got {x0}")
+    if h <= 0.0:
+        raise ValueError(f"h must be positive, got {h}")
+    top = x0 + 2.0 * h
+    if L.total_mass_cap < top:
+        return None
+    incr, ref = np.diff(L.evaluate(np.array([x0, x0 + h, top])))
+    return float(incr), float(ref)
+
+
 def stationarity_test_from_values(
     increments: np.ndarray, references: np.ndarray, valid: np.ndarray
 ) -> TestReport:
@@ -149,24 +181,14 @@ def stationarity_test(
     path is pinned at an atypical zero there: L(0) carries the censored
     leading stretch, and for correlated increments the first excursions out
     of a pinned origin are systematically shorter than their stationary
-    counterparts.  Paths whose mass cap does not reach x0 + 2h cannot
-    supply both increments and are excluded before the split; more than
+    counterparts.  Paths that cannot supply both increments (see
+    ``stationarity_increments``) are excluded before the split; more than
     MAX_EXCLUDED_FRACTION exclusions abort the test as unanswerable.
     """
-    if x0 < 0.0:
-        raise ValueError(f"x0 must be non-negative, got {x0}")
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    caps = np.array([L.total_mass_cap for L in L_ensemble], dtype=np.float64)
-    valid = caps >= x0 + 2.0 * h
-    incr = np.array(
-        [L.evaluate(x0 + h) - L.evaluate(x0) if ok else np.nan
-         for L, ok in zip(L_ensemble, valid)]
-    )
-    ref = np.array(
-        [L.evaluate(x0 + 2.0 * h) - L.evaluate(x0 + h) if ok else np.nan
-         for L, ok in zip(L_ensemble, valid)]
-    )
+    pairs = [stationarity_increments(L, x0, h) for L in L_ensemble]
+    valid = np.array([p is not None for p in pairs], dtype=bool)
+    incr = np.array([np.nan if p is None else p[0] for p in pairs])
+    ref = np.array([np.nan if p is None else p[1] for p in pairs])
     return stationarity_test_from_values(incr, ref, valid)
 
 
@@ -183,10 +205,9 @@ def self_similarity_test(
     """
     if len(profile_ensemble) == 0:
         raise ValueError("empty ensemble")
-    short = np.array(
-        [p.cumulative[int(round(r * p.grid_size))] for p in profile_ensemble]
-    )
-    terminal = np.array([p.total_mass for p in profile_ensemble])
+    short, terminal = np.array(
+        [self_similarity_masses(p, r) for p in profile_ensemble]
+    ).T
     return self_similarity_test_from_values(short, terminal, r, hurst)
 
 

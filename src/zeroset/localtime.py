@@ -28,6 +28,7 @@ __all__ = [
     "default_epsilon",
     "estimate_local_time",
     "inverse_time",
+    "grid_index",
     "persistence_indicator",
     "invert_profile",
     "atom_diagnostic",
@@ -172,18 +173,29 @@ def inverse_time(profile: LocalTimeProfile, x: float) -> float:
     return idx * profile.delta
 
 
-def persistence_indicator(profile: LocalTimeProfile, T: float, a: float) -> bool:
+def grid_index(T, delta: float, grid_size: int):
+    """Index min(round(T / delta), grid_size) of the grid point at horizon T.
+
+    ``T`` is one horizon or an array of them, each in (0, grid_size * delta]
+    up to a relative 1e-9; the result has the shape of ``T``.
+    """
+    T = np.asarray(T, dtype=np.float64)
+    if not np.all((T > 0.0) & (T <= grid_size * delta * (1.0 + 1e-9))):
+        raise ValueError(f"T must lie in (0, horizon], got {T}")
+    return np.minimum(np.round(T / delta).astype(np.int64), grid_size)
+
+
+def persistence_indicator(profile: LocalTimeProfile, T, a: float):
     """Indicator of the event {local time accrued on (0, T] <= a}.
 
-    Equivalent to {inverse_time(profile, a) > T}; the two encodings agree
-    exactly on the grid because the profile is non-decreasing.
+    One horizon ``T`` gives a bool, a sequence of horizons a bool array.
+    Equivalent to {inverse_time(profile, a) > T} for T on the grid; the two
+    encodings agree exactly there because the profile is non-decreasing.
     """
     if a <= 0.0:
         raise ValueError(f"threshold a must be positive, got {a}")
-    if not 0.0 < T <= profile.horizon * (1.0 + 1e-9):
-        raise ValueError(f"T must lie in (0, horizon], got {T}")
-    k = min(int(round(T / profile.delta)), profile.grid_size)
-    return bool(profile.cumulative[k] <= a)
+    held = profile.cumulative[grid_index(T, profile.delta, profile.grid_size)] <= a
+    return bool(held) if held.ndim == 0 else held
 
 
 def invert_profile(profile: LocalTimeProfile, min_jump_steps: int = DEFAULT_MIN_JUMP_STEPS) -> JumpFunction:

@@ -9,17 +9,20 @@ the wall clock or OS entropy; timings appear only as manifest metadata.
 
 Per path the worker samples the process, estimates the local-time profile,
 inverts it, and reduces everything downstream analyses need to one row
-(event indicators, masses, diagnostics, evaluations of the inverse,
-exceedance counts) plus its pieces of the pooled jump marks.  The columns
-are declared once, as the fields of ``EnsembleSummary`` with their dtype,
-per-path width and fill value; each chunk allocates and fills them by
-name, and the chunks are concatenated in index order.  Stage writers turn
+(event indicators, masses, diagnostics, increments of the inverse,
+exceedance counts) plus its pieces of the pooled jump marks.  Every value
+comes from the same per-path library function that the object-level API
+uses, so each quantity has one implementation.  The columns are declared
+once, as the fields of ``EnsembleSummary`` with their dtype, per-path
+width and fill value; each chunk allocates and fills them by name, and
+the chunks are concatenated in index order.  Stage writers turn
 the columns into CSV and JSON files; the manifest records the config hash
 and a checksum of every file written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -28,6 +31,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
@@ -47,7 +51,9 @@ from .invariance import (
     TestReport,
     bi_scale_test_from_counts,
     bonferroni,
+    self_similarity_masses,
     self_similarity_test_from_values,
+    stationarity_increments,
     stationarity_test_from_values,
 )
 from .localtime import (
@@ -55,11 +61,13 @@ from .localtime import (
     atom_diagnostic,
     estimate_local_time,
     invert_profile,
+    persistence_indicator,
     support_diagnostic,
 )
 from .persistence import (
     bm_exact_persistence,
     fit_exponent,
+    max_persistence_indicator,
     survival_from_events,
 )
 from .pointprocess import (
@@ -301,6 +309,9 @@ class ExperimentConfig:
                 f"epsilon.exponent_is_hurst must be true or false, got {exponent_is_hurst!r}"
             )
         heavy = analysis.get("heavy_subdivisions", (1024, 4096))
+        out_dir = raw.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir must be a string or null, got {out_dir!r}")
         try:
             return cls(
                 family=family,
@@ -337,7 +348,7 @@ class ExperimentConfig:
                 ),
                 tests=tuple(tests),
                 workers=_integer(raw.get("workers", 1), "workers"),
-                out_dir=raw.get("out_dir"),
+                out_dir=out_dir,
             )
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -495,19 +506,17 @@ def _compute_path(config: ExperimentConfig, index: int) -> dict:
     spec = config.spec()
     seed = derive_path_seed(config.master_seed, index)
     path = sample(spec, seed)
-    n = config.grid_size
-    k_grid = np.minimum(np.round(np.asarray(config.t_grid) / config.delta).astype(np.int64), n)
-    max_persist = np.maximum.accumulate(path.values)[k_grid] <= 1.0
+    max_persist = max_persistence_indicator(path, config.t_grid)
 
     profile = estimate_local_time(path, config.epsilon)
     del path
-    cum = profile.cumulative
+    mass_at_r, terminal_mass = self_similarity_masses(profile, config.test_r)
     values = dict(
         seeds=seed,
-        persist=cum[k_grid] <= config.threshold,
+        persist=persistence_indicator(profile, config.t_grid, config.threshold),
         max_persist=max_persist,
-        terminal_mass=cum[-1],
-        mass_at_r=cum[int(round(config.test_r * n))],
+        terminal_mass=terminal_mass,
+        mass_at_r=mass_at_r,
         atoms=atom_diagnostic(profile),
         supports=support_diagnostic(profile),
     )
@@ -515,8 +524,9 @@ def _compute_path(config: ExperimentConfig, index: int) -> dict:
     L = invert_profile(profile)
     del profile
     cap = L.total_mass_cap
-    x0, h, xw = config.test_x0, config.test_h, config.x_window
-    stat_valid, covers, heavy_valid = cap >= x0 + 2.0 * h, cap >= xw, cap >= 1.0
+    increments = stationarity_increments(L, config.test_x0, config.test_h)
+    xw = config.x_window
+    stat_valid, covers, heavy_valid = increments is not None, cap >= xw, cap >= 1.0
     # the jump at level 0, when present, is the censored leading stretch;
     # it is kept out of the mark pool and the dump like any other censoring
     interior = L.locations > 0.0
@@ -535,8 +545,7 @@ def _compute_path(config: ExperimentConfig, index: int) -> dict:
         dump_sizes=L.sizes[keep],
     )
     if stat_valid:
-        values["L_incr"] = L.evaluate(x0 + h) - L.evaluate(x0)
-        values["L_ref"] = L.evaluate(x0 + 2.0 * h) - L.evaluate(x0 + h)
+        values["L_incr"], values["L_ref"] = increments
 
     r_ratio = config.ratio_r_resolved
     if covers:
@@ -616,8 +625,14 @@ def _iter_chunks(
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = [pool.submit(_compute_chunk, config, lo, hi) for lo, hi in ranges]
-            for fut in futures:
-                yield fut.result()
+            for (lo, hi), fut in zip(ranges, futures):
+                try:
+                    result = fut.result()
+                except BrokenProcessPool as exc:
+                    raise RuntimeError(
+                        f"a worker process died; paths [{lo}, {hi}) were not computed"
+                    ) from exc
+                yield result
         finally:
             # when the caller stops early, chunks not yet started never run
             pool.shutdown(cancel_futures=True)
@@ -718,7 +733,7 @@ def _curve_rows(curve) -> Iterable[Sequence]:
 _CURVE_HEADER = ("T", "survival", "count", "n_paths", "se", "wilson_lo", "wilson_hi")
 
 
-def _stage_persist(summary: EnsembleSummary, out_dir: str) -> dict:
+def _stage_persist(summary: EnsembleSummary, out_dir: str) -> list[str]:
     cfg = summary.config
     ok = summary.ok
     target = 1.0 - cfg.hurst
@@ -734,14 +749,10 @@ def _stage_persist(summary: EnsembleSummary, out_dir: str) -> dict:
     max_payload = _fit_payload(max_curve, t_max / 8.0, t_max, target)
     max_payload["kind"] = "max-persistence"
     _write_json(os.path.join(out_dir, "maxfit.json"), max_payload)
-    return {
-        "files": ["curve.csv", "fit.json", "maxcurve.csv", "maxfit.json"],
-        "fit": fit_payload,
-        "max_fit": max_payload,
-    }
+    return ["curve.csv", "fit.json", "maxcurve.csv", "maxfit.json"]
 
 
-def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> dict:
+def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> list[str]:
     cfg = summary.config
     target = 1.0 - cfg.hurst
     marks = summary.marks_pool
@@ -843,10 +854,10 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> dict:
         ("path_id", "x", "m"),
         zip(summary.dump_index, summary.dump_locs, summary.dump_sizes),
     )
-    return {"files": ["tailfit.json", "empp.csv"], "tail": payload}
+    return ["tailfit.json", "empp.csv"]
 
 
-def _stage_invariants(summary: EnsembleSummary, out_dir: str) -> dict:
+def _stage_invariants(summary: EnsembleSummary, out_dir: str) -> list[str]:
     cfg = summary.config
     ok = summary.ok
     reports: list[TestReport] = []
@@ -894,7 +905,7 @@ def _stage_invariants(summary: EnsembleSummary, out_dir: str) -> dict:
         "errors": errors,
     }
     _write_json(os.path.join(out_dir, "invariance.json"), payload)
-    return {"files": ["invariance.json"], "invariance": payload}
+    return ["invariance.json"]
 
 
 _STAGES = {
@@ -925,6 +936,10 @@ def _make_out_dir(config: ExperimentConfig, out_dir: str | None) -> str:
     if not out_dir:
         raise ConfigError("an output directory is required (config out_dir or --out)")
     os.makedirs(out_dir, exist_ok=True)
+    # an earlier run's manifest would vouch for files this run rewrites;
+    # a run that crashes before its own manifest must leave none
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "manifest.json"))
     return out_dir
 
 
@@ -960,7 +975,10 @@ def _write_manifest(
         timings=timings,
         payload=payload,
     )
-    _write_json(manifest.path(), payload)
+    # written whole under a temporary name, so no partial manifest is seen
+    partial = manifest.path() + ".partial"
+    _write_json(partial, payload)
+    os.replace(partial, manifest.path())
     return manifest
 
 
@@ -987,14 +1005,11 @@ def run_experiment(
     summary = run_paths(config, workers=workers)
     timings["paths"] = time.perf_counter() - t0
 
-    stage_info: dict[str, dict] = {}
     files: list[str] = []
     for name in stages:
         t0 = time.perf_counter()
-        info = _STAGES[name](summary, out_dir)
+        files.extend(_STAGES[name](summary, out_dir))
         timings[name] = time.perf_counter() - t0
-        stage_info[name] = {k: v for k, v in info.items() if k != "files"}
-        files.extend(info["files"])
 
     cfg = config
     counters = {
@@ -1025,18 +1040,16 @@ def run_experiment(
     return _write_manifest(
         cfg, out_dir, stages, files, counters, timings,
         resolved=resolved,
-        stage_info=stage_info,
         failures=[{"index": i, "error": m} for i, m in summary.failures],
     )
 
 
-def dump_paths(
-    config: ExperimentConfig, out_dir: str | None = None, workers: int | None = None
-) -> RunManifest:
+def dump_paths(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
     """Simulate paths and dump them as CSV rows (path_id, t, x).
 
     Debug-oriented stage: the full trajectories are written, so it is meant
-    for small ensembles.
+    for small ensembles.  The paths are simulated serially in the calling
+    process, whatever the config's worker count.
     """
     out_dir = _make_out_dir(config, out_dir)
     spec = config.spec()

@@ -18,7 +18,7 @@ from scipy.special import erf
 
 from .errors import FitRangeError
 from .generators import SamplePath
-from .localtime import LocalTimeProfile, persistence_indicator
+from .localtime import LocalTimeProfile, grid_index, persistence_indicator
 
 __all__ = [
     "PersistenceCurve",
@@ -123,10 +123,7 @@ def survival_curve(
     """Empirical survival of {local time on (0, T] <= a} over an ensemble."""
     if len(profiles) == 0:
         raise ValueError("need at least one profile")
-    events = np.array(
-        [[persistence_indicator(p, float(T), a) for T in T_grid] for p in profiles],
-        dtype=bool,
-    )
+    events = np.array([persistence_indicator(p, T_grid, a) for p in profiles], dtype=bool)
     return survival_from_events(events, T_grid, a)
 
 
@@ -199,13 +196,13 @@ def bm_exact_persistence(T: float, a: float = 1.0) -> float:
     return float(erf(a / np.sqrt(2.0 * T)))
 
 
-def max_persistence_indicator(path: SamplePath, T: float) -> bool:
+def max_persistence_indicator(path: SamplePath, T):
     """Indicator of {max of the path on [0, T] <= 1}.
 
     The grid maximum over [0, T]; the unit barrier matches the scale
-    normalisation of the samplers (unit variance at time 1).
+    normalisation of the samplers (unit variance at time 1).  One horizon
+    ``T`` gives a bool, a sequence of horizons a bool array.
     """
-    if not 0.0 < T <= path.spec.horizon * (1.0 + 1e-9):
-        raise ValueError(f"T must lie in (0, horizon], got {T}")
-    k = min(int(round(T / path.delta)), path.spec.grid_size)
-    return bool(np.max(path.values[: k + 1]) <= 1.0)
+    k = grid_index(T, path.delta, path.spec.grid_size)
+    held = np.maximum.accumulate(path.values)[k] <= 1.0
+    return bool(held) if held.ndim == 0 else held

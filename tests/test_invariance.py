@@ -15,7 +15,9 @@ from zeroset import (
 from zeroset.errors import InsufficientMassError
 from zeroset.invariance import (
     bi_scale_test_from_counts,
+    self_similarity_masses,
     self_similarity_test_from_values,
+    stationarity_increments,
     stationarity_test_from_values,
 )
 
@@ -120,6 +122,19 @@ def test_stationarity_excludes_short_paths_up_to_the_cap():
         stationarity_test(too_many_short, x0=0.5, h=0.5)
 
 
+def test_stationarity_increments_hand_case():
+    L = JumpFunction(locations=[0.25, 0.75, 1.25], sizes=[1.0, 2.0, 4.0],
+                     drift=0.5, total_mass_cap=1.5)
+    # L(0.5) = 1.25, L(1.0) = 3.5, L(1.5) = 7.75
+    assert stationarity_increments(L, x0=0.5, h=0.5) == (2.25, 4.25)
+    assert stationarity_increments(L, x0=0.0, h=0.75) == (3.375, 4.375)
+    assert stationarity_increments(L, x0=0.5, h=0.51) is None
+    with pytest.raises(ValueError):
+        stationarity_increments(L, x0=-0.1, h=0.5)
+    with pytest.raises(ValueError):
+        stationarity_increments(L, x0=0.5, h=0.0)
+
+
 def test_stationarity_validation():
     rng = np.random.default_rng(8)
     ens = [_cp_L(rng) for _ in range(10)]
@@ -147,6 +162,16 @@ def test_self_similarity_rejects_wrong_hurst():
     rep = self_similarity_test(profs, r=0.5, hurst=0.8)
     assert rep.p_value < 0.01
     assert rep.reject_at_01 is True
+
+
+def test_self_similarity_masses_hand_case():
+    prof = LocalTimeProfile(path_ref=0, epsilon=0.5, delta=1.0,
+                            cumulative=[0.0, 1.0, 1.0, 2.0, 3.0])
+    assert self_similarity_masses(prof, 0.5) == (1.0, 3.0)
+    assert self_similarity_masses(prof, 0.75) == (2.0, 3.0)
+    for r in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            self_similarity_masses(prof, r)
 
 
 def test_self_similarity_validation():

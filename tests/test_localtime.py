@@ -135,6 +135,22 @@ def test_persistence_indicator_validation():
         persistence_indicator(prof, T=4.0, a=0.0)
     with pytest.raises(ValueError):
         persistence_indicator(prof, T=9.0, a=1.0)
+    with pytest.raises(ValueError):
+        persistence_indicator(prof, T=[2.0, 9.0], a=1.0)
+    with pytest.raises(ValueError):
+        persistence_indicator(prof, T=[0.0, 2.0], a=1.0)
+    with pytest.raises(ValueError):
+        persistence_indicator(prof, T=float("nan"), a=1.0)
+
+
+def test_persistence_indicator_sequence_of_horizons():
+    prof = _hand_profile()
+    T_grid = [1.0, 3.0, 4.0, 4.4, 4.6, 8.0]
+    events = persistence_indicator(prof, T_grid, 2.0)
+    assert events.dtype == bool
+    # cumulative at grid points 1, 3, 4, 4, 5, 8 is 1, 1, 2, 2, 3, 4
+    assert events.tolist() == [True, True, True, True, False, False]
+    assert events.tolist() == [persistence_indicator(prof, T, 2.0) for T in T_grid]
 
 
 def test_indicator_agrees_with_inverse_route():

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -146,6 +147,10 @@ def test_config_value_validation():
         _config(n_paths="24")
     with pytest.raises(ConfigError):
         _config(epsilon={"exponent_is_hurst": "false"})
+    with pytest.raises(ConfigError):
+        _config(out_dir=5)
+    with pytest.raises(ConfigError):
+        _config(out_dir=["a"])
     assert _config(n_paths=24.0).n_paths == 24
 
 
@@ -381,6 +386,11 @@ def test_run_experiment_outputs(tmp_path):
     assert payload["config_hash"] == cfg.config_hash()
     assert payload["counters"]["n_ok"] == 40
     assert payload["resolved"]["epsilon"] == pytest.approx(cfg.epsilon)
+    # the stage payloads live in their files only
+    assert "stage_info" not in payload
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
+        [*manifest.outputs, "manifest.json"]
+    )
 
     with open(tmp_path / "run" / "curve.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -407,6 +417,24 @@ def test_run_experiment_checksums_reproduce(tmp_path):
     m2 = run_experiment(cfg, out_dir=str(tmp_path / "b"), workers=2)
     assert m1.outputs == m2.outputs
     assert m1.config_hash == m2.config_hash
+
+
+def test_crashed_run_leaves_no_stale_manifest(monkeypatch, tmp_path):
+    import zeroset.orchestration as orch
+
+    run = tmp_path / "run"
+    cfg = _config(n_paths=8)
+    run_experiment(cfg, out_dir=str(run))
+    assert (run / "manifest.json").exists()
+
+    def crash_after_one_file(summary, out_dir):
+        orch._write_json(os.path.join(out_dir, "tailfit.json"), {"partial": True})
+        raise RuntimeError("synthetic stage crash")
+
+    monkeypatch.setitem(orch._STAGES, "excursions", crash_after_one_file)
+    with pytest.raises(RuntimeError, match="synthetic stage crash"):
+        run_experiment(cfg, out_dir=str(run))
+    assert not (run / "manifest.json").exists()
 
 
 def test_run_experiment_rejects_unknown_stage(tmp_path):
@@ -536,6 +564,36 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["persist", "--config", str(cfg_file),
                  "--out", str(tmp_path / "x")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_aborted_exit_code(monkeypatch, tmp_path, capsys):
+    import zeroset.orchestration as orch
+
+    real = orch.sample
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(_raw()))
+
+    def fail_all(spec, seed):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(orch, "sample", fail_all)
+    assert main(["persist", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert "run aborted:" in err and "paths failed" in err
+
+    def die_on_path_0(spec, seed):
+        if seed == orch.derive_path_seed(7, 0):
+            os._exit(3)
+        return real(spec, seed)
+
+    # the pool forks its workers, so they call the patched sampler too
+    monkeypatch.setattr(orch, "sample", die_on_path_0)
+    assert main(["persist", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "b"), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "run aborted: a worker process died; paths [0, 12)" in err
+    assert not (tmp_path / "b" / "manifest.json").exists()
 
 
 def test_cli_report_check_exit_code(tmp_path):

@@ -230,6 +230,11 @@ def test_max_persistence_indicator_hand_case():
     assert max_persistence_indicator(path, 4.0) is False
     with pytest.raises(ValueError):
         max_persistence_indicator(path, 5.0)
+    events = max_persistence_indicator(path, [1.0, 2.0, 3.0, 4.0])
+    assert events.dtype == bool
+    assert events.tolist() == [True, True, False, False]
+    with pytest.raises(ValueError):
+        max_persistence_indicator(path, [1.0, 5.0])
 
 
 def test_max_persistence_survival_matches_exact_law():
