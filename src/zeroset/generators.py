@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,8 +169,13 @@ def derive_path_seed(master_seed: int, path_index: int) -> int:
 # circulant embedding machinery
 # ---------------------------------------------------------------------------
 
-# (kind, hurst, n) -> (m, sqrt(eigenvalues)); shared across paths of one run.
+# (kind, hurst, n) -> (m, roots of the eigenvalues at nodes 0..m/2); shared
+# across paths of one run.
 _EIG_CACHE: dict[tuple, tuple[int, np.ndarray]] = {}
+
+# per-thread synthesis buffers for the last m drawn: the normals, which the
+# synthesised sequence then overwrites, and the half spectrum
+_BUFFERS = threading.local()
 
 
 def _embedding_size(n: int) -> int:
@@ -180,8 +186,10 @@ def _embedding_size(n: int) -> int:
 def _circulant_sqrt_eig(acov: np.ndarray, m: int) -> np.ndarray:
     """Eigenvalue square roots of the circulant embedding of a covariance.
 
-    ``acov`` holds the autocovariance at lags 0..m/2.  Raises if the
-    embedding fails to be non-negative definite beyond rounding noise.
+    ``acov`` holds the autocovariance at lags 0..m/2.  Raises if any of the
+    m eigenvalues is negative beyond rounding noise.  The spectrum of a
+    symmetric row is symmetric, so only the roots at nodes 0..m/2 are
+    returned.
     """
     row = np.concatenate([acov, acov[-2:0:-1]])
     lam = np.fft.fft(row).real
@@ -191,30 +199,53 @@ def _circulant_sqrt_eig(acov: np.ndarray, m: int) -> np.ndarray:
             f"circulant embedding is not non-negative definite "
             f"(min eigenvalue {lam.min():.3e}, max {lam_max:.3e})"
         )
+    lam = lam[: m // 2 + 1]
     np.clip(lam, 0.0, None, out=lam)
     return np.sqrt(lam)
+
+
+def _buffers(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The calling thread's buffers for embedding size m.
+
+    One pair per thread, made anew when m changes: a run draws a single m,
+    and a thread keeps no buffers for sizes it no longer draws.
+    """
+    slot = getattr(_BUFFERS, "slot", None)
+    if slot is None or slot[0].size != m:
+        slot = _BUFFERS.slot = (np.empty(m), np.empty(m // 2 + 1, dtype=np.complex128))
+    return slot
 
 
 def _stationary_gaussian(n: int, sqrt_lam: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n values of the stationary Gaussian sequence fixed by sqrt_lam.
 
-    Synthesis in the Fourier domain: a Hermitian-symmetric complex normal
-    vector is shaped by the eigenvalue roots and transformed back.  The draw
-    order (one block of m standard normals, split into the real node at 0,
-    the Nyquist node, then real and imaginary parts) is part of the
-    reproducibility contract and must not be reordered.
+    ``sqrt_lam`` holds the eigenvalue roots at the nodes 0..m/2 of the
+    length-m circulant embedding.  Synthesis is on the half spectrum: a
+    standard normal is put on each node (real at node 0 and at the Nyquist
+    node m/2, complex with variance 1/2 per part in between), shaped by the
+    roots and taken back with a real inverse FFT.  The node values mirror
+    to a Hermitian spectrum, so this is the full-spectrum complex synthesis
+    without its redundant half.  The draw order (one block of m standard
+    normals: node 0, the Nyquist node, then the real parts at nodes
+    1..m/2-1, then their imaginary parts) is part of the reproducibility
+    contract and must not be reordered.
+
+    The result is a view into a buffer of the calling thread that the next
+    call with the same m overwrites: use it, or copy it, before drawing
+    again on the same thread.
     """
     half = m // 2
-    w = rng.standard_normal(m)
-    z = np.empty(m, dtype=np.complex128)
-    z[0] = w[0]
-    z[half] = w[1]
-    re = w[2 : half + 1] * math.sqrt(0.5)
-    im = w[half + 1 :] * math.sqrt(0.5)
-    z[1:half] = re + 1j * im
-    z[half + 1 :] = (re - 1j * im)[::-1]
-    y = np.fft.ifft(sqrt_lam * z)
-    return y.real[:n] * math.sqrt(m)
+    w, spectrum = _buffers(m)
+    rng.standard_normal(out=w)
+    spectrum[0] = w[0] * sqrt_lam[0]
+    spectrum[half] = w[1] * sqrt_lam[half]
+    np.multiply(w[2 : half + 1], sqrt_lam[1:half], out=spectrum.real[1:half])
+    np.multiply(w[half + 1 :], sqrt_lam[1:half], out=spectrum.imag[1:half])
+    spectrum[1:half] *= math.sqrt(0.5)
+    # the orthonormal inverse scales by 1/sqrt(m): the 1/m of the inverse
+    # times the sqrt(m) that gives the sequence unit-scaled covariance
+    np.fft.irfft(spectrum, m, norm="ortho", out=w)
+    return w[:n]
 
 
 def _fgn_sqrt_eig(hurst: float, n: int) -> tuple[int, np.ndarray]:
@@ -262,8 +293,8 @@ def sample_fbm(spec: ProcessSpec, seed: int) -> SamplePath:
     n = spec.grid_size
     m, sqrt_lam = _fgn_sqrt_eig(spec.hurst, n)
     rng = np.random.default_rng(seed)
-    noise = _stationary_gaussian(n, sqrt_lam, m, rng)
-    increments = spec.delta**spec.hurst * noise
+    increments = _stationary_gaussian(n, sqrt_lam, m, rng)
+    increments *= spec.delta**spec.hurst
     values = np.empty(n + 1, dtype=np.float64)
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])
@@ -319,12 +350,12 @@ def sample_rosenblatt(spec: ProcessSpec, seed: int) -> SamplePath:
     xi = _stationary_gaussian(total, sqrt_lam, m, rng)
     np.multiply(xi, xi, out=xi)
     xi -= 1.0
-    partial = np.cumsum(xi)
+    partial = np.cumsum(xi, out=xi)
     calib = rosenblatt_calibration(spec.hurst, total)
     scale = spec.horizon**spec.hurst * calib / total**spec.hurst
     values = np.empty(n + 1, dtype=np.float64)
     values[0] = 0.0
-    values[1:] = scale * partial[spec.micro_factor - 1 :: spec.micro_factor]
+    np.multiply(partial[spec.micro_factor - 1 :: spec.micro_factor], scale, out=values[1:])
     return SamplePath(spec=spec, seed=seed, values=values, calibration=calib)
 
 

@@ -227,22 +227,19 @@ def invert_profile(profile: LocalTimeProfile, min_jump_steps: int = DEFAULT_MIN_
     gaps = np.diff(occupied) - 1
     lead = int(occupied[0])
 
-    locations: list[float] = []
-    sizes: list[float] = []
-    if lead >= min_jump_steps:
-        locations.append(0.0)
-        sizes.append(lead * delta)
     big = np.flatnonzero(gaps >= min_jump_steps)
-    for j in big:
-        locations.append(float(profile.cumulative[occupied[j] + 1]))
-        sizes.append(float(gaps[j] * delta))
+    locations = profile.cumulative[occupied[big] + 1]
+    sizes = gaps[big] * delta
+    if lead >= min_jump_steps:
+        locations = np.concatenate(([0.0], locations))
+        sizes = np.concatenate(([lead * delta], sizes))
 
     total_mass = profile.total_mass
     jump_mass = float(np.sum(sizes))
     drift = max(0.0, (t_last - jump_mass) / total_mass)
     return JumpFunction(
-        locations=np.asarray(locations),
-        sizes=np.asarray(sizes),
+        locations=locations,
+        sizes=sizes,
         drift=drift,
         total_mass_cap=total_mass,
     )

@@ -681,17 +681,47 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Write ``<path>.partial``, then rename it to ``path`` in one step.
+
+    Readers see the old file or the whole new one, never a partial one; a
+    write that raises removes its temporary file.
+    """
+    partial = path + ".partial"
+    try:
+        with open(partial, "w", newline="") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _nan_to_null(obj):
+    """``obj`` with every NaN float, at any depth, replaced by None."""
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _nan_to_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nan_to_null(value) for value in obj]
+    return obj
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    """Strict JSON: NaN becomes null and an infinity raises ValueError."""
+    with _atomic_open(path) as fh:
+        json.dump(_nan_to_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -733,26 +763,39 @@ def _curve_rows(curve) -> Iterable[Sequence]:
 _CURVE_HEADER = ("T", "survival", "count", "n_paths", "se", "wilson_lo", "wilson_hi")
 
 
-def _stage_persist(summary: EnsembleSummary, out_dir: str) -> list[str]:
+# stage name -> the files the stage writes, in the order it writes them.  The
+# stage bodies take their paths from here, and a run first clears these files.
+_STAGE_FILES = {
+    "persist": ("curve.csv", "fit.json", "maxcurve.csv", "maxfit.json"),
+    "excursions": ("tailfit.json", "empp.csv"),
+    "invariants": ("invariance.json",),
+}
+
+
+def _stage_paths(stage: str, out_dir: str) -> list[str]:
+    return [os.path.join(out_dir, name) for name in _STAGE_FILES[stage]]
+
+
+def _stage_persist(summary: EnsembleSummary, out_dir: str) -> None:
     cfg = summary.config
     ok = summary.ok
     target = 1.0 - cfg.hurst
+    curve_path, fit_path, maxcurve_path, maxfit_path = _stage_paths("persist", out_dir)
     curve = survival_from_events(summary.persist[ok], cfg.t_grid, cfg.threshold)
-    _write_csv(os.path.join(out_dir, "curve.csv"), _CURVE_HEADER, _curve_rows(curve))
+    _write_csv(curve_path, _CURVE_HEADER, _curve_rows(curve))
     fit_payload = _fit_payload(curve, cfg.fit_t_lo, cfg.fit_t_hi, target)
     fit_payload["kind"] = "local-time-persistence"
-    _write_json(os.path.join(out_dir, "fit.json"), fit_payload)
+    _write_json(fit_path, fit_payload)
 
     max_curve = survival_from_events(summary.max_persist[ok], cfg.t_grid, 1.0)
-    _write_csv(os.path.join(out_dir, "maxcurve.csv"), _CURVE_HEADER, _curve_rows(max_curve))
+    _write_csv(maxcurve_path, _CURVE_HEADER, _curve_rows(max_curve))
     t_max = cfg.t_grid[-1]
     max_payload = _fit_payload(max_curve, t_max / 8.0, t_max, target)
     max_payload["kind"] = "max-persistence"
-    _write_json(os.path.join(out_dir, "maxfit.json"), max_payload)
-    return ["curve.csv", "fit.json", "maxcurve.csv", "maxfit.json"]
+    _write_json(maxfit_path, max_payload)
 
 
-def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> list[str]:
+def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
     cfg = summary.config
     target = 1.0 - cfg.hurst
     marks = summary.marks_pool
@@ -848,16 +891,16 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> list[str]:
         "ratio": ratio_payload,
         "heavy_counts": heavy_payload,
     }
-    _write_json(os.path.join(out_dir, "tailfit.json"), payload)
+    tailfit_path, empp_path = _stage_paths("excursions", out_dir)
+    _write_json(tailfit_path, payload)
     _write_csv(
-        os.path.join(out_dir, "empp.csv"),
+        empp_path,
         ("path_id", "x", "m"),
         zip(summary.dump_index, summary.dump_locs, summary.dump_sizes),
     )
-    return ["tailfit.json", "empp.csv"]
 
 
-def _stage_invariants(summary: EnsembleSummary, out_dir: str) -> list[str]:
+def _stage_invariants(summary: EnsembleSummary, out_dir: str) -> None:
     cfg = summary.config
     ok = summary.ok
     reports: list[TestReport] = []
@@ -904,8 +947,8 @@ def _stage_invariants(summary: EnsembleSummary, out_dir: str) -> list[str]:
         ],
         "errors": errors,
     }
-    _write_json(os.path.join(out_dir, "invariance.json"), payload)
-    return ["invariance.json"]
+    (invariance_path,) = _stage_paths("invariants", out_dir)
+    _write_json(invariance_path, payload)
 
 
 _STAGES = {
@@ -931,15 +974,20 @@ class RunManifest:
         return os.path.join(self.out_dir, "manifest.json")
 
 
-def _make_out_dir(config: ExperimentConfig, out_dir: str | None) -> str:
+def _make_out_dir(config: ExperimentConfig, out_dir: str | None, files: Sequence[str]) -> str:
+    """Create the output directory and clear the manifest and ``files``.
+
+    An earlier run's manifest would vouch for files this run rewrites, and
+    an earlier run's copy of a file this run writes would be stale: a run
+    that crashes leaves neither, only the files it wrote whole.
+    """
     out_dir = out_dir or config.out_dir
     if not out_dir:
         raise ConfigError("an output directory is required (config out_dir or --out)")
     os.makedirs(out_dir, exist_ok=True)
-    # an earlier run's manifest would vouch for files this run rewrites;
-    # a run that crashes before its own manifest must leave none
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, "manifest.json"))
+    for name in ("manifest.json", *files):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     return out_dir
 
 
@@ -975,10 +1023,7 @@ def _write_manifest(
         timings=timings,
         payload=payload,
     )
-    # written whole under a temporary name, so no partial manifest is seen
-    partial = manifest.path() + ".partial"
-    _write_json(partial, payload)
-    os.replace(partial, manifest.path())
+    _write_json(manifest.path(), payload)
     return manifest
 
 
@@ -998,17 +1043,17 @@ def run_experiment(
     unknown = set(stages) - set(_STAGES)
     if unknown:
         raise ConfigError(f"unknown stages {sorted(unknown)}; valid: {sorted(_STAGES)}")
-    out_dir = _make_out_dir(config, out_dir)
+    files = [f for name in stages for f in _STAGE_FILES[name]]
+    out_dir = _make_out_dir(config, out_dir, files)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     summary = run_paths(config, workers=workers)
     timings["paths"] = time.perf_counter() - t0
 
-    files: list[str] = []
     for name in stages:
         t0 = time.perf_counter()
-        files.extend(_STAGES[name](summary, out_dir))
+        _STAGES[name](summary, out_dir)
         timings[name] = time.perf_counter() - t0
 
     cfg = config
@@ -1051,19 +1096,18 @@ def dump_paths(config: ExperimentConfig, out_dir: str | None = None) -> RunManif
     for small ensembles.  The paths are simulated serially in the calling
     process, whatever the config's worker count.
     """
-    out_dir = _make_out_dir(config, out_dir)
+    out_dir = _make_out_dir(config, out_dir, ["paths.csv"])
     spec = config.spec()
     times = np.arange(config.grid_size + 1) * config.delta
-    t0 = time.perf_counter()
-    path_file = os.path.join(out_dir, "paths.csv")
-    with open(path_file, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("path_id", "t", "x"))
+
+    def rows():
         for index in range(config.n_paths):
-            seed = derive_path_seed(config.master_seed, index)
-            path = sample(spec, seed)
+            path = sample(spec, derive_path_seed(config.master_seed, index))
             for t, x in zip(times, path.values):
-                writer.writerow((index, _fmt(t), _fmt(x)))
+                yield index, t, x
+
+    t0 = time.perf_counter()
+    _write_csv(os.path.join(out_dir, "paths.csv"), ("path_id", "t", "x"), rows())
     timings = {"paths": time.perf_counter() - t0}
     return _write_manifest(
         config, out_dir, ("simulate",), ["paths.csv"], {"n_paths": config.n_paths}, timings
@@ -1270,6 +1314,6 @@ def report(run_dirs: Sequence[str], out_dir: str, check: bool = False) -> tuple[
     )
     lines.append("")
     summary_path = os.path.join(out_dir, "summary.md")
-    with open(summary_path, "w") as fh:
+    with _atomic_open(summary_path) as fh:
         fh.write("\n".join(lines))
     return summary_path, ok

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from zeroset import (
     sample_rosenblatt,
 )
 from zeroset.generators import (
+    _BUFFERS,
     _embedding_size,
+    _fgn_sqrt_eig,
     _rosenblatt_sqrt_eig,
     _stationary_gaussian,
     rosenblatt_calibration,
@@ -132,6 +136,84 @@ def test_embedding_size_powers_of_two():
     assert _embedding_size(64) == 128
     assert _embedding_size(65) == 128
     assert _embedding_size(66) == 256
+
+
+def _complex_synthesis(n, acov, m, seed):
+    """Full-spectrum complex-FFT synthesis, the reference for the sampler.
+
+    The eigenvalues are all m of the embedding's spectrum, and the spectrum
+    is built Hermitian by hand from the same m normals in the same order.
+    """
+    row = np.concatenate([acov, acov[-2:0:-1]])
+    sqrt_lam = np.sqrt(np.clip(np.fft.fft(row).real, 0.0, None))
+    half = m // 2
+    w = np.random.default_rng(seed).standard_normal(m)
+    z = np.empty(m, dtype=np.complex128)
+    z[0] = w[0]
+    z[half] = w[1]
+    re = w[2 : half + 1] * math.sqrt(0.5)
+    im = w[half + 1 :] * math.sqrt(0.5)
+    z[1:half] = re + 1j * im
+    z[half + 1 :] = (re - 1j * im)[::-1]
+    return np.fft.ifft(sqrt_lam * z).real[:n] * math.sqrt(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 128, 2**12])
+@pytest.mark.parametrize("kind", ["fgn", "rosenblatt"])
+def test_half_spectrum_synthesis_matches_complex_reference(kind, n):
+    if kind == "fgn":
+        m, sqrt_lam = _fgn_sqrt_eig(0.3, n)
+        acov = np.array([fgn_covariance(0.3, k) for k in range(m // 2 + 1)])
+    else:
+        m, sqrt_lam = _rosenblatt_sqrt_eig(0.75, n)
+        acov = (1.0 + np.arange(m // 2 + 1)) ** -0.25
+    assert len(sqrt_lam) == m // 2 + 1
+    for seed in (1, 2, 3):
+        got = _stationary_gaussian(n, sqrt_lam, m, np.random.default_rng(seed))
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, _complex_synthesis(n, acov, m, seed),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_drawn_paths_survive_later_draws():
+    fbm, fbm_other = _spec(hurst=0.3, n=256), _spec(hurst=0.3, n=1000)
+    ros = _spec(family=Family.ROSENBLATT, hurst=0.75, n=16, mf=16)
+    first = [sample(fbm, 1), sample(ros, 1)]
+    kept = [p.values.copy() for p in first]
+    for spec in (fbm, fbm_other, ros, fbm):  # same m, then other m
+        sample(spec, 2)
+        for path, values in zip(first, kept):
+            np.testing.assert_array_equal(path.values, values)
+            assert not any(np.shares_memory(path.values, b) for b in _BUFFERS.slot)
+
+
+def test_concurrent_threads_draw_the_serial_paths():
+    jobs = [(spec, seed)
+            for spec in (_spec(hurst=0.3, n=4096), _spec(hurst=0.7, n=300),
+                         _spec(family=Family.ROSENBLATT, hurst=0.75, n=64, mf=16))
+            for seed in range(6)]
+    serial = [sample(spec, seed).values for spec, seed in jobs]
+    results: dict[int, dict] = {}
+
+    def draw(worker):
+        # each thread starts at another job, so the threads interleave sizes
+        order = list(range(worker, len(jobs))) + list(range(worker))
+        results[worker] = {i: sample(*jobs[i]).values for i in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for worker in range(4):
+        for i, values in enumerate(serial):
+            np.testing.assert_array_equal(results[worker][i], values)
 
 
 # ---------------------------------------------------------------------------

@@ -437,10 +437,84 @@ def test_crashed_run_leaves_no_stale_manifest(monkeypatch, tmp_path):
     assert not (run / "manifest.json").exists()
 
 
+def test_crashed_stage_write_leaves_no_partial_or_stale_file(monkeypatch, tmp_path):
+    import zeroset.orchestration as orch
+
+    run, clean = tmp_path / "run", tmp_path / "clean"
+    run_experiment(_config(n_paths=8), out_dir=str(run))
+    cfg = _config(n_paths=8, master_seed=8)
+    fresh = run_experiment(cfg, out_dir=str(clean)).outputs
+
+    def rows_then_crash():
+        yield from ([i, 0.5, 1.0] for i in range(3))
+        raise RuntimeError("synthetic write crash")
+
+    def crash_mid_write(summary, out_dir):
+        orch._write_json(os.path.join(out_dir, "tailfit.json"), {"partial": True})
+        orch._write_csv(os.path.join(out_dir, "empp.csv"), ("a", "b", "c"), rows_then_crash())
+
+    monkeypatch.setitem(orch._STAGES, "excursions", crash_mid_write)
+    with pytest.raises(RuntimeError, match="synthetic write crash"):
+        run_experiment(cfg, out_dir=str(run))
+    # the persist files are this run's, whole; the crashed stage left only
+    # the file it finished; the earlier run's later-stage files are gone
+    assert sorted(os.listdir(run)) == [
+        "curve.csv", "fit.json", "maxcurve.csv", "maxfit.json", "tailfit.json"]
+    for name in ("curve.csv", "fit.json", "maxcurve.csv", "maxfit.json"):
+        assert orch._sha256(str(run / name)) == fresh[name]
+    assert json.loads((run / "tailfit.json").read_text()) == {"partial": True}
+
+
+def test_write_keeps_the_old_file_when_it_crashes(tmp_path):
+    import zeroset.orchestration as orch
+
+    path = tmp_path / "curve.csv"
+    orch._write_csv(str(path), ("x",), [[1.0]])
+    before = path.read_bytes()
+
+    def rows_then_crash():
+        yield [2.0]
+        raise RuntimeError("synthetic write crash")
+
+    with pytest.raises(RuntimeError):
+        orch._write_csv(str(path), ("x",), rows_then_crash())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["curve.csv"]
+
+
+def test_write_json_maps_nan_to_null(tmp_path):
+    import zeroset.orchestration as orch
+
+    path = tmp_path / "fit.json"
+    nan = float("nan")
+    orch._write_json(str(path), {"a": nan, "b": [1.5, np.float64(nan), {"c": nan}],
+                                 "d": (nan, 2), "e": "nan"})
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    assert json.loads(path.read_text(), parse_constant=reject) == {
+        "a": None, "b": [1.5, None, {"c": None}], "d": [None, 2], "e": "nan"}
+    with pytest.raises(ValueError):
+        orch._write_json(str(tmp_path / "inf.json"), {"a": float("inf")})
+    assert os.listdir(tmp_path) == ["fit.json"]
+
+
 def test_run_experiment_rejects_unknown_stage(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment(_config(), stages=("persist", "teleport"),
                        out_dir=str(tmp_path))
+
+
+def test_each_stage_writes_exactly_its_declared_files(tmp_path):
+    import zeroset.orchestration as orch
+
+    assert set(orch._STAGE_FILES) == set(orch._STAGES)
+    cfg = _config(n_paths=8)
+    for stage, files in orch._STAGE_FILES.items():
+        manifest = run_experiment(cfg, stages=(stage,), out_dir=str(tmp_path / stage))
+        assert sorted(manifest.outputs) == sorted(files)
+        assert sorted(os.listdir(tmp_path / stage)) == sorted((*files, "manifest.json"))
 
 
 def test_run_experiment_needs_out_dir():

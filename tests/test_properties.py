@@ -6,7 +6,7 @@ profile takes, where the event's non-strict inequality matters.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeroset import (
@@ -102,3 +102,44 @@ def test_jump_function_evaluate_is_non_decreasing(delta, increments, fractions):
     values = L.evaluate(x)
     assert np.all(np.diff(values) >= 0.0)
     assert values.tolist() == [L.evaluate(float(v)) for v in x]
+
+
+def _invert_profile_loop(profile, min_jump_steps):
+    """The per-jump loop that ``invert_profile`` replaced, kept as its reference."""
+    increments = np.diff(profile.cumulative)
+    occupied = np.flatnonzero(increments > 0.0)
+    if len(occupied) == 0:
+        return np.asarray([]), np.asarray([]), 0.0, 0.0
+    delta = profile.delta
+    t_last = (occupied[-1] + 1) * delta
+    gaps = np.diff(occupied) - 1
+    lead = int(occupied[0])
+    locations, sizes = [], []
+    if lead >= min_jump_steps:
+        locations.append(0.0)
+        sizes.append(lead * delta)
+    for j in np.flatnonzero(gaps >= min_jump_steps):
+        locations.append(float(profile.cumulative[occupied[j] + 1]))
+        sizes.append(float(gaps[j] * delta))
+    drift = max(0.0, (t_last - float(np.sum(sizes))) / profile.total_mass)
+    return np.asarray(locations), np.asarray(sizes), drift, profile.total_mass
+
+
+@_SETTINGS
+@given(
+    _deltas,
+    st.integers(min_value=0, max_value=6),
+    st.one_of(_increments, st.lists(st.just(0.0), min_size=1, max_size=20)),
+    st.integers(min_value=1, max_value=4),
+)
+@example(0.5, 0, [0.0, 0.0, 0.0], 1)  # never visited
+@example(0.5, 3, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], 2)  # leading stretch kept
+@example(0.5, 1, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], 2)  # leading stretch folded
+def test_invert_profile_matches_the_loop(delta, lead, body, min_jump_steps):
+    profile = _profile(delta, [0.0] * lead + body)
+    locations, sizes, drift, cap = _invert_profile_loop(profile, min_jump_steps)
+    L = invert_profile(profile, min_jump_steps)
+    assert L.locations.dtype == L.sizes.dtype == np.float64
+    assert L.locations.tobytes() == locations.tobytes()
+    assert L.sizes.tobytes() == sizes.tobytes()
+    assert L.drift == drift and L.total_mass_cap == cap
