@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
+from ._kolmogorov import ks_2samp_asymp
 from .errors import InsufficientMassError
 from .localtime import JumpFunction, LocalTimeProfile
 from .pointprocess import MarkedPointSet, rescale_empp
@@ -63,20 +63,25 @@ class TestReport:
 
 
 def ks_two_sample(a, b, name: str = "two-sample-ks") -> TestReport:
-    """Two-sample KS test with the asymptotic two-sided p-value.
+    """Two-sample KS test with the two-sided p-value of the Kolmogorov law.
 
+    The p-value is that of ``scipy.stats.ks_2samp(method="asymp")``: the
+    finite-n Kolmogorov survival function at n = round(n1 n2 / (n1 + n2)).
     Identical samples give statistic 0 and p-value 1; disjoint supports give
-    statistic 1.
+    statistic 1.  One value per sample rounds n to 0, where the law is
+    undefined, so that split is an error.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be non-empty")
-    result = ks_2samp(a, b, alternative="two-sided", method="asymp")
-    p = min(float(result.pvalue), 1.0)
+    if len(a) == 1 and len(b) == 1:
+        raise ValueError("one value per sample gives no KS p-value")
+    statistic, pvalue = ks_2samp_asymp(a, b)
+    p = min(float(pvalue), 1.0)
     return TestReport(
         name=name,
-        statistic=float(result.statistic),
+        statistic=float(statistic),
         p_value=p,
         n1=len(a),
         n2=len(b),

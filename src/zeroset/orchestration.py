@@ -1275,6 +1275,9 @@ def report(run_dirs: Sequence[str], out_dir: str, check: bool = False) -> tuple[
             gaps.append(f"{run_dir}: no invariance.json")
         else:
             for entry in inv.get("battery", []):
+                if entry["p_value"] is None:
+                    gaps.append(f"{run_dir}: invariance test {entry['name']} has no p-value")
+                    continue
                 rejected = bool(entry["reject_bonferroni"])
                 checks.append(not rejected)
                 table.append(

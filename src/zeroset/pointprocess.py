@@ -189,14 +189,17 @@ def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit
         raise InsufficientDataError(
             f"Hill needs at least 3 marks, got {len(marks)}"
         )
-    if np.any(marks <= 0.0):
+    if marks.min() <= 0.0:
         raise ValueError("marks must be positive")
     if not 2 <= k < len(marks):
         raise InsufficientDataError(
             f"k must satisfy 2 <= k < n_marks = {len(marks)}, got {k}"
         )
     ordered = np.sort(marks)[::-1]
-    mean_log = float(np.mean(np.log(ordered[:k] / ordered[k])))
+    # one k-element temporary: the ratios, logged in place
+    log_ratios = ordered[:k] / ordered[k]
+    np.log(log_ratios, out=log_ratios)
+    mean_log = float(np.mean(log_ratios))
     if mean_log <= 0.0:
         raise InsufficientDataError("top marks are all equal; tail index undefined")
     exponent = 1.0 / mean_log

@@ -73,6 +73,13 @@ def test_ks_rejects_empty():
         ks_two_sample(np.array([]), np.ones(3))
 
 
+def test_ks_rejects_one_value_per_sample():
+    # n1 = n2 = 1 rounds the effective size n1 n2 / (n1 + n2) to 0
+    with pytest.raises(ValueError, match="one value per sample"):
+        ks_two_sample(np.zeros(1), np.ones(1))
+    assert ks_two_sample(np.zeros(1), np.zeros(2)).p_value == 1.0
+
+
 def test_ks_report_name():
     rep = ks_two_sample(np.zeros(3), np.ones(3), name="my-check")
     assert isinstance(rep, TestReport)

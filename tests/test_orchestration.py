@@ -582,6 +582,27 @@ def test_report_tolerates_missing_manifest(tmp_path):
     assert "no manifest.json" in (out / "summary.md").read_text()
 
 
+def test_one_path_per_half_records_invariance_errors(tmp_path):
+    run_experiment(_config(n_paths=2, master_seed=3), out_dir=str(tmp_path / "run"))
+    inv = json.loads((tmp_path / "run" / "invariance.json").read_text())
+    assert inv["battery"] == []
+    assert sorted(inv["errors"]) == ["bi_scale", "increment_stationarity", "self_similarity"]
+    assert all("one value per sample" in msg for msg in inv["errors"].values())
+
+
+def test_report_lists_a_null_p_value_as_a_gap(tmp_path):
+    run = _fake_run_dir(tmp_path, "run", kappa=0.52)
+    entry = {"name": "profile-self-similarity", "statistic": 1.0, "p_value": None,
+             "n1": 1, "n2": 1, "reject_at_01": False, "reject_bonferroni": False}
+    (run / "invariance.json").write_text(json.dumps(
+        {"level": 0.01, "n_tests": 1, "battery": [entry], "errors": {}}))
+    path, ok = report([str(run)], str(tmp_path / "rep"), check=True)
+    assert ok is True  # the kappa row passes; the test counts as neither
+    text = (tmp_path / "rep" / "summary.md").read_text()
+    assert "invariance test profile-self-similarity has no p-value" in text
+    assert "1 of 1 checks passed" in text
+
+
 def test_report_on_a_real_run(tmp_path):
     cfg = _config(n_paths=40)
     run_experiment(cfg, out_dir=str(tmp_path / "run"))

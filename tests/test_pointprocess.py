@@ -202,6 +202,17 @@ def test_hill_validation():
         hill_tail_index([1.0, -2.0, 3.0], k=2)
 
 
+def test_hill_sums_the_log_ratios_in_descending_order():
+    # the in-place log keeps the element order, so the mean (and every
+    # tailfit.json written from it) is bit-identical to the plain formula
+    rng = np.random.default_rng(11)
+    marks = _pareto_marks(rng, 5000, 0.6)
+    k = 1700
+    ordered = np.sort(marks)[::-1]
+    expected = 1.0 / float(np.mean(np.log(ordered[:k] / ordered[k])))
+    assert hill_tail_index(marks, k=k).exponent == expected
+
+
 def test_hill_recovers_pareto_index():
     rng = np.random.default_rng(3)
     for alpha in (0.5, 0.7):
