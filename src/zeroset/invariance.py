@@ -111,7 +111,7 @@ def self_similarity_masses(profile: LocalTimeProfile, r: float) -> tuple[float, 
     """Profile mass at r * T_max and at T_max, the pair self-similarity relates."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    return float(profile.cumulative[int(round(r * profile.grid_size))]), profile.total_mass
+    return float(profile.mass_at(int(round(r * profile.grid_size)))), profile.total_mass
 
 
 def stationarity_increments(

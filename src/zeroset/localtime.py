@@ -5,6 +5,10 @@ normalises by 2 epsilon, giving a non-decreasing step profile
 
     cumulative[k] = delta / (2 epsilon) * #{1 <= j <= k : |X(t_j)| < epsilon}.
 
+Only a fraction of about n^-H of the n cells is occupied, so the profile is
+stored by the indices of its occupied cells and its value after each; every
+reader works from that form.
+
 Inverting the profile in the level variable produces a pure-jump function:
 every stretch of time the path spends away from the window becomes a jump
 whose size is the duration of the stretch and whose location is the amount
@@ -41,32 +45,74 @@ DEFAULT_MIN_JUMP_STEPS = 2
 
 @dataclass
 class LocalTimeProfile:
-    """Cumulative local-time estimate on the time grid of one path.
+    """Local-time estimate on the time grid of one path, stored sparsely.
 
     ``path_ref`` is the seed of the source path, which identifies it within
-    a run.  ``cumulative`` has one entry per grid point, starts at 0 and is
-    non-decreasing with increments of either 0 or delta / (2 epsilon).
+    a run.  The profile is a non-decreasing step function on the grid
+    points 0..grid_size that starts at 0 and rises only across occupied
+    cells: ``occupied`` holds the strictly increasing indices j of the
+    cells (t_j, t_j+1] that accrue local time, and ``levels`` the profile
+    value at t_j+1, after each of them.  The zero set of the path has zero
+    Lebesgue measure, so only a small fraction of cells is occupied.
+    ``from_cumulative`` builds a profile from one value per grid point.
     """
 
     path_ref: int
     epsilon: float
     delta: float
-    cumulative: np.ndarray
+    grid_size: int
+    occupied: np.ndarray
+    levels: np.ndarray
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.delta <= 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        self.cumulative = np.asarray(self.cumulative, dtype=np.float64)
-        if self.cumulative.ndim != 1 or len(self.cumulative) < 2:
+        if self.grid_size < 1:
+            raise ValueError(f"grid_size must be positive, got {self.grid_size}")
+        self.occupied = np.asarray(self.occupied, dtype=np.int64)
+        self.levels = np.asarray(self.levels, dtype=np.float64)
+        if self.occupied.ndim != 1 or self.occupied.shape != self.levels.shape:
+            raise ValueError("occupied and levels must be 1-d arrays of equal length")
+        occupied, levels = self.occupied, self.levels
+        if len(occupied) == 0:
+            return
+        if not (0 <= occupied[0] and occupied[-1] < self.grid_size
+                and (occupied[1:] > occupied[:-1]).all()):
+            raise ValueError("occupied must be strictly increasing cell indices in [0, grid_size)")
+        # NaN fails every comparison, so these also refuse it
+        if not (levels[0] > 0.0 and (levels[1:] > levels[:-1]).all() and levels[-1] < np.inf):
+            raise ValueError("levels must be finite, positive and strictly increasing")
+
+    @classmethod
+    def from_cumulative(
+        cls, path_ref: int, epsilon: float, delta: float, cumulative
+    ) -> "LocalTimeProfile":
+        """Profile from its values at every grid point, starting at 0."""
+        cumulative = np.asarray(cumulative, dtype=np.float64)
+        if cumulative.ndim != 1 or len(cumulative) < 2:
             raise ValueError("cumulative must be a 1-d array with at least 2 entries")
-        if self.cumulative[0] != 0.0:
+        if cumulative[0] != 0.0:
             raise ValueError("cumulative must start at zero")
+        if not np.all(np.isfinite(cumulative)):
+            raise ValueError("cumulative must be finite")
+        increments = np.diff(cumulative)
+        if np.any(increments < 0.0):
+            raise ValueError("cumulative must be non-decreasing")
+        occupied = np.flatnonzero(increments > 0.0)
+        return cls(path_ref=path_ref, epsilon=epsilon, delta=delta,
+                   grid_size=len(cumulative) - 1, occupied=occupied,
+                   levels=cumulative[occupied + 1])
+
+    def mass_at(self, k):
+        """Profile value at grid index k (or an array of them), local time on (0, k delta]."""
+        return np.concatenate(([0.0], self.levels))[np.searchsorted(self.occupied, k)]
 
     @property
-    def grid_size(self) -> int:
-        return len(self.cumulative) - 1
+    def cumulative(self) -> np.ndarray:
+        """The profile at every grid point 0..grid_size, built on each access."""
+        return self.mass_at(np.arange(self.grid_size + 1))
 
     @property
     def horizon(self) -> float:
@@ -74,7 +120,7 @@ class LocalTimeProfile:
 
     @property
     def total_mass(self) -> float:
-        return float(self.cumulative[-1])
+        return float(self.levels[-1]) if len(self.levels) else 0.0
 
 
 @dataclass
@@ -153,11 +199,14 @@ def estimate_local_time(path: SamplePath, epsilon: float | None = None) -> Local
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     quantum = delta / (2.0 * epsilon)
-    hits = np.abs(path.values[1:]) < epsilon
-    cumulative = np.empty(len(path.values), dtype=np.float64)
-    cumulative[0] = 0.0
-    np.cumsum(quantum * hits, out=cumulative[1:])
-    return LocalTimeProfile(path_ref=path.seed, epsilon=epsilon, delta=delta, cumulative=cumulative)
+    occupied = np.flatnonzero(np.abs(path.values[1:]) < epsilon)
+    # a sequential sum of the quanta alone: the same bits as a running sum
+    # over every cell, since adding the unoccupied cells' 0.0 is exact
+    levels = np.cumsum(np.full(len(occupied), quantum))
+    return LocalTimeProfile(
+        path_ref=path.seed, epsilon=epsilon, delta=delta,
+        grid_size=len(path.values) - 1, occupied=occupied, levels=levels,
+    )
 
 
 def inverse_time(profile: LocalTimeProfile, x: float) -> float:
@@ -167,10 +216,12 @@ def inverse_time(profile: LocalTimeProfile, x: float) -> float:
     evaluation that the jump encoding is checked against; it involves no
     thresholding.
     """
-    idx = int(np.searchsorted(profile.cumulative, x, side="right"))
-    if idx == len(profile.cumulative):
+    if x < 0.0:
+        return 0.0
+    i = int(np.searchsorted(profile.levels, x, side="right"))
+    if i == len(profile.levels):
         return float("inf")
-    return idx * profile.delta
+    return int(profile.occupied[i] + 1) * profile.delta
 
 
 def grid_index(T, delta: float, grid_size: int):
@@ -194,7 +245,7 @@ def persistence_indicator(profile: LocalTimeProfile, T, a: float):
     """
     if a <= 0.0:
         raise ValueError(f"threshold a must be positive, got {a}")
-    held = profile.cumulative[grid_index(T, profile.delta, profile.grid_size)] <= a
+    held = profile.mass_at(grid_index(T, profile.delta, profile.grid_size)) <= a
     return bool(held) if held.ndim == 0 else held
 
 
@@ -214,10 +265,7 @@ def invert_profile(profile: LocalTimeProfile, min_jump_steps: int = DEFAULT_MIN_
     """
     if min_jump_steps < 1:
         raise ValueError(f"min_jump_steps must be at least 1, got {min_jump_steps}")
-    increments = np.diff(profile.cumulative)
-    if np.any(increments < 0.0):
-        raise ValueError("profile must be non-decreasing")
-    occupied = np.flatnonzero(increments > 0.0)
+    occupied = profile.occupied
     if len(occupied) == 0:
         return JumpFunction(
             locations=np.empty(0), sizes=np.empty(0), drift=0.0, total_mass_cap=0.0
@@ -228,7 +276,7 @@ def invert_profile(profile: LocalTimeProfile, min_jump_steps: int = DEFAULT_MIN_
     lead = int(occupied[0])
 
     big = np.flatnonzero(gaps >= min_jump_steps)
-    locations = profile.cumulative[occupied[big] + 1]
+    locations = profile.levels[big]
     sizes = gaps[big] * delta
     if lead >= min_jump_steps:
         locations = np.concatenate(([0.0], locations))
@@ -253,7 +301,10 @@ def atom_diagnostic(profile: LocalTimeProfile) -> float:
     epsilon rule as the grid refines (like delta^(1-H)); a non-vanishing
     value signals atoms.
     """
-    return float(np.max(np.diff(profile.cumulative)))
+    levels = profile.levels
+    if len(levels) == 0:
+        return 0.0
+    return float(np.max(levels[1:] - levels[:-1], initial=levels[0]))
 
 
 def support_diagnostic(profile: LocalTimeProfile) -> float:
@@ -263,5 +314,4 @@ def support_diagnostic(profile: LocalTimeProfile) -> float:
     like n^-H for an H-self-similar path under the default epsilon rule, and
     a fraction approaching 1 would indicate a dense occupied set.
     """
-    increments = np.diff(profile.cumulative)
-    return float(np.mean(increments > 0.0))
+    return len(profile.occupied) / profile.grid_size

@@ -97,6 +97,8 @@ TOOLKIT_VERSION = "0.1.0"
 
 MAX_FAILURE_FRACTION = 0.01
 CHUNK_TARGET = 256
+# rows of empp.csv formatted per write
+EMPP_BLOCK_ROWS = 4096
 
 # Threshold ladder (in units of the mark floor) for the log-log count fit.
 LOGLOG_FACTORS = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -707,6 +709,19 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_empp(path: str, index: np.ndarray, locs: np.ndarray, sizes: np.ndarray) -> None:
+    """``empp.csv``, formatted as ``_write_csv`` would, one block of rows at a time."""
+    with _atomic_open(path) as fh:
+        fh.write("path_id,x,m\n")
+        for lo in range(0, len(index), EMPP_BLOCK_ROWS):
+            block = slice(lo, lo + EMPP_BLOCK_ROWS)
+            fh.writelines(
+                f"{i},{x!r},{m!r}\n"
+                for i, x, m in zip(index[block].tolist(), locs[block].tolist(),
+                                   sizes[block].tolist())
+            )
+
+
 def _nan_to_null(obj):
     """``obj`` with every NaN float, at any depth, replaced by None."""
     if isinstance(obj, float) and math.isnan(obj):
@@ -893,11 +908,7 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
     }
     tailfit_path, empp_path = _stage_paths("excursions", out_dir)
     _write_json(tailfit_path, payload)
-    _write_csv(
-        empp_path,
-        ("path_id", "x", "m"),
-        zip(summary.dump_index, summary.dump_locs, summary.dump_sizes),
-    )
+    _write_empp(empp_path, summary.dump_index, summary.dump_locs, summary.dump_sizes)
 
 
 def _stage_invariants(summary: EnsembleSummary, out_dir: str) -> None:

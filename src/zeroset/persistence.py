@@ -201,8 +201,14 @@ def max_persistence_indicator(path: SamplePath, T):
 
     The grid maximum over [0, T]; the unit barrier matches the scale
     normalisation of the samplers (unit variance at time 1).  One horizon
-    ``T`` gives a bool, a sequence of horizons a bool array.
+    ``T`` gives a bool, a sequence of horizons a bool array.  Only the
+    values up to the largest requested horizon are read: one maximum per
+    stretch between consecutive requested grid points, accumulated over
+    those stretches.
     """
     k = grid_index(T, path.delta, path.spec.grid_size)
-    held = np.maximum.accumulate(path.values)[k] <= 1.0
+    ends = np.unique(k)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    running = np.maximum.accumulate(np.maximum.reduceat(path.values[: ends[-1] + 1], starts))
+    held = running[np.searchsorted(ends, k)] <= 1.0
     return bool(held) if held.ndim == 0 else held

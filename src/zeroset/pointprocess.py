@@ -196,8 +196,11 @@ def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit
             f"k must satisfy 2 <= k < n_marks = {len(marks)}, got {k}"
         )
     ordered = np.sort(marks)[::-1]
-    # one k-element temporary: the ratios, logged in place
-    log_ratios = ordered[:k] / ordered[k]
+    floor_mark = float(ordered[k])
+    # the ratios are divided and logged in place in the sorted copy, the
+    # fit's only temporary; they keep their descending order for the sum
+    log_ratios = ordered[:k]
+    np.divide(log_ratios, floor_mark, out=log_ratios)
     np.log(log_ratios, out=log_ratios)
     mean_log = float(np.mean(log_ratios))
     if mean_log <= 0.0:
@@ -205,7 +208,7 @@ def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit
     exponent = 1.0 / mean_log
     return IntensityFit(
         exponent=exponent,
-        constant=(k / len(marks)) * float(ordered[k]) ** exponent,
+        constant=(k / len(marks)) * floor_mark ** exponent,
         stderr=exponent / math.sqrt(k),
         k_used=k,
         method=FitMethod.HILL,

@@ -407,7 +407,7 @@ def test_criterion_8_ks_level_calibration(verdicts):
         profiles = []
         for _ in range(800):
             amp = rng.exponential(2.0)
-            profiles.append(LocalTimeProfile(
+            profiles.append(LocalTimeProfile.from_cumulative(
                 path_ref=0, epsilon=0.1, delta=1 / 256,
                 cumulative=amp * t**0.5))
         rejects["self_similarity"] += (

@@ -34,7 +34,7 @@ def _ss_profile(rng, hurst=0.5, n=256):
     """Deterministic shape A * t^(1-H): exactly self-similar in law."""
     amp = rng.exponential(2.0)
     t = np.arange(n + 1) / n
-    return LocalTimeProfile(
+    return LocalTimeProfile.from_cumulative(
         path_ref=0, epsilon=0.1, delta=1.0 / n, cumulative=amp * t ** (1.0 - hurst)
     )
 
@@ -172,8 +172,8 @@ def test_self_similarity_rejects_wrong_hurst():
 
 
 def test_self_similarity_masses_hand_case():
-    prof = LocalTimeProfile(path_ref=0, epsilon=0.5, delta=1.0,
-                            cumulative=[0.0, 1.0, 1.0, 2.0, 3.0])
+    prof = LocalTimeProfile.from_cumulative(path_ref=0, epsilon=0.5, delta=1.0,
+                                            cumulative=[0.0, 1.0, 1.0, 2.0, 3.0])
     assert self_similarity_masses(prof, 0.5) == (1.0, 3.0)
     assert self_similarity_masses(prof, 0.75) == (2.0, 3.0)
     for r in (0.0, 1.0, 1.5):

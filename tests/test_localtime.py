@@ -101,10 +101,34 @@ def test_estimate_zero_path_fills_every_cell():
 
 
 def test_profile_validation():
+    def dense(epsilon=0.5, cumulative=(0.0, 1.0)):
+        return LocalTimeProfile.from_cumulative(
+            path_ref=0, epsilon=epsilon, delta=1.0, cumulative=cumulative)
+
+    def sparse(grid_size=4, occupied=(1, 3), levels=(1.0, 2.0)):
+        return LocalTimeProfile(path_ref=0, epsilon=0.5, delta=1.0, grid_size=grid_size,
+                                occupied=occupied, levels=levels)
+
     with pytest.raises(ValueError):
-        LocalTimeProfile(path_ref=0, epsilon=0.0, delta=1.0, cumulative=[0.0, 1.0])
+        dense(epsilon=0.0)
+    with pytest.raises(ValueError, match="start at zero"):
+        dense(cumulative=[1.0, 2.0])
+    with pytest.raises(ValueError, match="non-decreasing"):
+        dense(cumulative=[0.0, 2.0, 1.0, 0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dense(cumulative=[0.0, 1.0, bad])
+    np.testing.assert_array_equal(sparse().cumulative, [0.0, 0.0, 1.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        LocalTimeProfile(path_ref=0, epsilon=0.5, delta=1.0, cumulative=[1.0, 2.0])
+        sparse(grid_size=0, occupied=(), levels=())
+    with pytest.raises(ValueError, match="equal length"):
+        sparse(levels=(1.0,))
+    for occupied in ((3, 1), (1, 1), (-1, 3), (1, 4)):
+        with pytest.raises(ValueError, match="occupied"):
+            sparse(occupied=occupied)
+    for levels in ((2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (1.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="levels"):
+            sparse(levels=levels)
     with pytest.raises(ValueError):
         estimate_local_time(_path_from_values(_VALUES), epsilon=-0.5)
 
@@ -197,7 +221,7 @@ def test_invert_profile_time_balance():
 
 
 def test_invert_profile_leading_run():
-    prof = LocalTimeProfile(
+    prof = LocalTimeProfile.from_cumulative(
         path_ref=0, epsilon=0.5, delta=1.0, cumulative=[0.0, 0.0, 0.0, 1.0, 2.0]
     )
     L = invert_profile(prof)
@@ -208,7 +232,7 @@ def test_invert_profile_leading_run():
 
 
 def test_invert_profile_trailing_run_is_censored():
-    prof = LocalTimeProfile(
+    prof = LocalTimeProfile.from_cumulative(
         path_ref=0, epsilon=0.5, delta=1.0,
         cumulative=[0.0, 1.0, 2.0, 2.0, 2.0, 2.0],
     )
@@ -219,7 +243,7 @@ def test_invert_profile_trailing_run_is_censored():
 
 
 def test_invert_profile_empty():
-    prof = LocalTimeProfile(
+    prof = LocalTimeProfile.from_cumulative(
         path_ref=0, epsilon=0.5, delta=1.0, cumulative=[0.0, 0.0, 0.0]
     )
     L = invert_profile(prof)
@@ -241,12 +265,11 @@ def test_invert_profile_min_jump_steps():
 
 
 def test_invert_profile_rejects_decreasing():
-    prof = LocalTimeProfile(
-        path_ref=0, epsilon=0.5, delta=1.0, cumulative=[0.0, 1.0, 2.0]
-    )
-    prof.cumulative = np.array([0.0, 2.0, 1.0])
+    # a decreasing profile is refused when it is built, before any reader
     with pytest.raises(ValueError):
-        invert_profile(prof)
+        LocalTimeProfile.from_cumulative(
+            path_ref=0, epsilon=0.5, delta=1.0, cumulative=[0.0, 2.0, 1.0]
+        )
 
 
 def test_jump_function_validation():

@@ -411,12 +411,24 @@ def test_run_experiment_outputs(tmp_path):
     }
 
 
+# SHA-256 of the stage files that hold exact event counts and grid gap
+# lengths, so that no BLAS or libm rounding enters them; a change to any
+# per-path kernel that moves one output bit shows here
+PINNED_CHECKSUMS = {
+    "curve.csv": "79ddf2263b8a2c22c80055fc508542b75a75a79112e1adde3d94bc9e09f0acf0",
+    "maxcurve.csv": "2a550cba37141002123ee7872b973f9a354467e8fd6da00bc8378ef8a4afa9e1",
+    "empp.csv": "3f1477204211ba504c708846b0d2ef67a9aa067926619a1a48843aa74c446bd8",
+}
+
+
 def test_run_experiment_checksums_reproduce(tmp_path):
     cfg = _config(n_paths=30)
     m1 = run_experiment(cfg, out_dir=str(tmp_path / "a"), workers=1)
     m2 = run_experiment(cfg, out_dir=str(tmp_path / "b"), workers=2)
     assert m1.outputs == m2.outputs
     assert m1.config_hash == m2.config_hash
+    for manifest in (m1, m2):
+        assert {name: manifest.outputs[name] for name in PINNED_CHECKSUMS} == PINNED_CHECKSUMS
 
 
 def test_crashed_run_leaves_no_stale_manifest(monkeypatch, tmp_path):

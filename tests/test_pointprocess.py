@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,20 @@ def test_hill_sums_the_log_ratios_in_descending_order():
     ordered = np.sort(marks)[::-1]
     expected = 1.0 / float(np.mean(np.log(ordered[:k] / ordered[k])))
     assert hill_tail_index(marks, k=k).exponent == expected
+
+
+def test_hill_working_set_is_one_sorted_copy():
+    # the ratios live in the sorted copy; a second k-element array would
+    # add k / n_marks to the peak of the excursions stage
+    rng = np.random.default_rng(12)
+    marks = _pareto_marks(rng, 200_000, 0.6)
+    tracemalloc.start()
+    try:
+        hill_tail_index(marks, k=90_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * marks.nbytes
 
 
 def test_hill_recovers_pareto_index():

@@ -2,23 +2,35 @@
 
 Profiles are drawn as cumulative sums of random non-negative increments,
 horizons as grid multiples, thresholds either at random or at a value the
-profile takes, where the event's non-strict inequality matters.
+profile takes, where the event's non-strict inequality matters.  Configs
+are drawn over every key of the schema.
 """
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeroset import (
+    ExperimentConfig,
     Family,
+    JumpFunction,
     LocalTimeProfile,
     ProcessSpec,
     SamplePath,
+    atom_diagnostic,
+    estimate_local_time,
     inverse_time,
     invert_profile,
     max_persistence_indicator,
     persistence_indicator,
+    sample,
+    support_diagnostic,
 )
+from zeroset.invariance import self_similarity_masses
+from zeroset.pointprocess import window_exceedance_counts
 
 # few examples, fixed draws: the suite stays fast and reproducible
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -30,9 +42,14 @@ _increments = st.lists(
 )
 
 
+def _cumulative(increments) -> np.ndarray:
+    return np.concatenate([[0.0], np.cumsum(increments)])
+
+
 def _profile(delta, increments) -> LocalTimeProfile:
-    cumulative = np.concatenate([[0.0], np.cumsum(increments)])
-    return LocalTimeProfile(path_ref=0, epsilon=0.5, delta=delta, cumulative=cumulative)
+    cumulative = _cumulative(increments)
+    return LocalTimeProfile.from_cumulative(
+        path_ref=0, epsilon=0.5, delta=delta, cumulative=cumulative)
 
 
 @st.composite
@@ -104,13 +121,13 @@ def test_jump_function_evaluate_is_non_decreasing(delta, increments, fractions):
     assert values.tolist() == [L.evaluate(float(v)) for v in x]
 
 
-def _invert_profile_loop(profile, min_jump_steps):
-    """The per-jump loop that ``invert_profile`` replaced, kept as its reference."""
-    increments = np.diff(profile.cumulative)
+def _invert_profile_loop(cumulative, delta, min_jump_steps):
+    """The per-jump loop that ``invert_profile`` replaced, on the profile's
+    value at every grid point; kept as its reference."""
+    increments = np.diff(cumulative)
     occupied = np.flatnonzero(increments > 0.0)
     if len(occupied) == 0:
         return np.asarray([]), np.asarray([]), 0.0, 0.0
-    delta = profile.delta
     t_last = (occupied[-1] + 1) * delta
     gaps = np.diff(occupied) - 1
     lead = int(occupied[0])
@@ -119,10 +136,11 @@ def _invert_profile_loop(profile, min_jump_steps):
         locations.append(0.0)
         sizes.append(lead * delta)
     for j in np.flatnonzero(gaps >= min_jump_steps):
-        locations.append(float(profile.cumulative[occupied[j] + 1]))
+        locations.append(float(cumulative[occupied[j] + 1]))
         sizes.append(float(gaps[j] * delta))
-    drift = max(0.0, (t_last - float(np.sum(sizes))) / profile.total_mass)
-    return np.asarray(locations), np.asarray(sizes), drift, profile.total_mass
+    total_mass = float(cumulative[-1])
+    drift = max(0.0, (t_last - float(np.sum(sizes))) / total_mass)
+    return np.asarray(locations), np.asarray(sizes), drift, total_mass
 
 
 @_SETTINGS
@@ -136,10 +154,177 @@ def _invert_profile_loop(profile, min_jump_steps):
 @example(0.5, 3, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], 2)  # leading stretch kept
 @example(0.5, 1, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], 2)  # leading stretch folded
 def test_invert_profile_matches_the_loop(delta, lead, body, min_jump_steps):
-    profile = _profile(delta, [0.0] * lead + body)
-    locations, sizes, drift, cap = _invert_profile_loop(profile, min_jump_steps)
+    increments = [0.0] * lead + body
+    profile = _profile(delta, increments)
+    locations, sizes, drift, cap = _invert_profile_loop(
+        _cumulative(increments), delta, min_jump_steps)
     L = invert_profile(profile, min_jump_steps)
     assert L.locations.dtype == L.sizes.dtype == np.float64
     assert L.locations.tobytes() == locations.tobytes()
     assert L.sizes.tobytes() == sizes.tobytes()
     assert L.drift == drift and L.total_mass_cap == cap
+
+
+def _dense_inverse_time(cumulative, delta, x):
+    idx = int(np.searchsorted(cumulative, x, side="right"))
+    return float("inf") if idx == len(cumulative) else idx * delta
+
+
+def _bits(x):
+    return np.asarray(x).dtype.str, np.asarray(x).tobytes()
+
+
+def _assert_matches_dense(profile, cumulative, steps, thresholds, r_values):
+    """Every reader of the sparse profile against the dense reference, bit for bit.
+
+    ``cumulative`` is the profile's value at every grid point, as the
+    profile was stored before it became sparse.
+    """
+    delta, n = profile.delta, profile.grid_size
+    assert n == len(cumulative) - 1
+    assert _bits(profile.cumulative) == _bits(cumulative)
+    assert _bits(profile.total_mass) == _bits(float(cumulative[-1]))
+    assert _bits(atom_diagnostic(profile)) == _bits(float(np.max(np.diff(cumulative))))
+    assert _bits(support_diagnostic(profile)) == _bits(float(np.mean(np.diff(cumulative) > 0.0)))
+    T = np.asarray(steps) * delta
+    for a in thresholds:
+        assert persistence_indicator(profile, T, a).tolist() == (cumulative[steps] <= a).tolist()
+    for x in [*thresholds, -1.0, 0.0]:
+        assert _bits(inverse_time(profile, x)) == _bits(_dense_inverse_time(cumulative, delta, x))
+    for r in r_values:
+        dense = (float(cumulative[int(round(r * n))]), float(cumulative[-1]))
+        assert _bits(self_similarity_masses(profile, r)) == _bits(dense)
+    for min_jump_steps in (1, 2, 3):
+        L = invert_profile(profile, min_jump_steps)
+        locations, sizes, drift, cap = _invert_profile_loop(cumulative, delta, min_jump_steps)
+        assert _bits(L.locations) == _bits(locations) and _bits(L.sizes) == _bits(sizes)
+        assert _bits(L.drift) == _bits(drift) and _bits(L.total_mass_cap) == _bits(cap)
+
+
+@_SETTINGS
+@given(_deltas, _increments, st.data())
+def test_sparse_profile_matches_the_dense_reference(delta, increments, data):
+    cumulative = _cumulative(increments)
+    profile = _profile(delta, increments)
+    n = profile.grid_size
+    steps = data.draw(st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=12))
+    thresholds = data.draw(st.lists(
+        st.one_of(
+            st.floats(min_value=1e-6, max_value=1.5 * profile.total_mass + 1.0),
+            st.sampled_from(cumulative[cumulative > 0.0].tolist() or [1.0]),
+        ),
+        min_size=1, max_size=6,
+    ))
+    r_values = data.draw(st.lists(st.floats(min_value=1e-3, max_value=0.999), max_size=4))
+    _assert_matches_dense(profile, cumulative, steps, thresholds, r_values)
+
+
+@pytest.mark.parametrize(
+    "family, hurst", [(Family.FBM, 0.3), (Family.BM, 0.5), (Family.ROSENBLATT, 0.75)]
+)
+def test_sampled_profiles_match_the_dense_reference(family, hurst):
+    n = 2**12
+    spec = ProcessSpec(family=family, hurst=hurst, horizon=64.0, grid_size=n)
+    for seed in (3, 4):
+        path = sample(spec, seed)
+        profile = estimate_local_time(path)
+        # the profile as a running sum over every cell
+        hits = np.abs(path.values[1:]) < profile.epsilon
+        quantum = profile.delta / (2.0 * profile.epsilon)
+        cumulative = np.concatenate([[0.0], np.cumsum(quantum * hits)])
+        assert len(profile.occupied) > 0
+        steps = [1, 7, 100, 1000, 2048, n - 1, n]
+        thresholds = [0.25, 1.0, 4.0, *cumulative[profile.occupied[::37] + 1]]
+        _assert_matches_dense(profile, cumulative, steps, thresholds, [0.25, 0.5, 0.9])
+        running_max = np.maximum.accumulate(path.values)
+        T = np.asarray(steps[::-1]) * profile.delta
+        expected = running_max[steps[::-1]] <= 1.0
+        assert max_persistence_indicator(path, T).tolist() == expected.tolist()
+
+
+@_SETTINGS
+@given(st.data())
+def test_window_exceedance_counts_match_a_brute_force_count(data):
+    locations = sorted(set(data.draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)), max_size=60)
+    )))
+    sizes = data.draw(st.lists(
+        st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(min_value=1e-3, max_value=5.0)),
+        min_size=len(locations), max_size=len(locations),
+    ))
+    L = JumpFunction(locations=locations, sizes=sizes, drift=0.0, total_mass_cap=11.0)
+    # the window's right end and the thresholds also fall on a jump, where
+    # the inclusive level bound and the strict size bound matter
+    x_window = data.draw(st.one_of(
+        st.floats(min_value=1e-3, max_value=12.0),
+        st.sampled_from([x for x in locations if x > 0.0] or [1.0]),
+    ))
+    thresholds = data.draw(st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=6.0), st.sampled_from(sizes or [1.0])),
+        max_size=8,
+    ))
+    counts = window_exceedance_counts(L, x_window, thresholds)
+    brute = [
+        sum(1 for x, m in zip(locations, sizes) if 0.0 < x <= x_window and m > t)
+        for t in thresholds
+    ]
+    assert counts.dtype == np.int64 and counts.tolist() == brute
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _raw_configs(draw):
+    family = draw(st.sampled_from(["fbm", "bm", "rosenblatt"]))
+    hurst = {
+        "fbm": st.floats(min_value=0.01, max_value=0.99),
+        "bm": st.just(0.5),
+        "rosenblatt": st.floats(min_value=0.51, max_value=0.99),
+    }[family]
+    horizon = draw(_positive)
+    fit_lo = draw(_positive)
+    optional = {
+        "epsilon": st.fixed_dictionaries({}, optional={
+            "c": _positive, "exponent_is_hurst": st.booleans()}),
+        "t_grid": st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=10)
+        .map(lambda f: sorted({x * horizon for x in f})),
+        "threshold": _positive,
+        "fit_range": st.one_of(st.none(), _positive.map(lambda d: [fit_lo, fit_lo + d])),
+        "analysis": st.fixed_dictionaries({}, optional={
+            "mark_floor_factor": _positive,
+            "hill_k": st.one_of(st.none(), st.integers(min_value=2, max_value=10**6)),
+            "ratio_r": st.one_of(st.none(), _positive),
+            "x_window": _positive,
+            "m0": st.one_of(st.none(), _positive),
+            "test_r": st.floats(min_value=1e-3, max_value=0.999),
+            "test_x0": st.floats(min_value=0.0, max_value=1e3),
+            "test_h": _positive,
+            "heavy_subdivisions": st.lists(
+                st.integers(min_value=1, max_value=2**16), min_size=2, max_size=2),
+        }),
+        "tests": st.lists(
+            st.sampled_from(["self_similarity", "increment_stationarity", "bi_scale"]),
+            unique=True),
+        "workers": st.integers(min_value=1, max_value=64),
+        "out_dir": st.one_of(st.none(), st.text(max_size=12)),
+    }
+    return {
+        "schema_version": 1,
+        "process": {
+            "family": family, "hurst": draw(hurst), "horizon": horizon,
+            "grid_size": draw(st.integers(min_value=1, max_value=2**20)),
+            "micro_factor": draw(st.integers(min_value=1, max_value=64)),
+        },
+        "n_paths": draw(st.integers(min_value=1, max_value=10**6)),
+        "master_seed": draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        **draw(st.fixed_dictionaries({}, optional=optional)),
+    }
+
+
+@_SETTINGS
+@given(_raw_configs())
+def test_config_round_trips_through_its_dict(raw):
+    config = ExperimentConfig.from_dict(raw)
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
