@@ -122,15 +122,15 @@ def stationarity_increments(
     None when the path's mass cap stops below the top level, so that it
     cannot supply both increments.
     """
-    if x0 < 0.0:
+    if not x0 >= 0.0:
         raise ValueError(f"x0 must be non-negative, got {x0}")
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
     top = x0 + 2.0 * h
     if L.total_mass_cap < top:
         return None
-    incr, ref = np.diff(L.evaluate(np.array([x0, x0 + h, top])))
-    return float(incr), float(ref)
+    low, mid, high = L.evaluate(np.array([x0, x0 + h, top])).tolist()
+    return mid - low, high - mid
 
 
 def stationarity_test_from_values(
@@ -242,9 +242,9 @@ def bi_scale_test(
         raise ValueError(f"r must lie in (0, 1), got {r}")
     if hurst >= 1.0:
         raise ValueError(f"hurst hypothesis must be below 1, got {hurst}")
-    if m0 <= 0.0:
+    if not m0 > 0.0:
         raise ValueError(f"m0 must be positive, got {m0}")
-    if x_window <= 0.0:
+    if not x_window > 0.0:
         raise ValueError(f"x_window must be positive, got {x_window}")
     if beta is None:
         beta = 1.0 / (1.0 - hurst)

@@ -65,9 +65,10 @@ class LocalTimeProfile:
     levels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
+        # written as "not > 0" so that NaN is refused too
+        if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be positive, got {self.grid_size}")
@@ -107,7 +108,7 @@ class LocalTimeProfile:
 
     def mass_at(self, k):
         """Profile value at grid index k (or an array of them), local time on (0, k delta]."""
-        return np.concatenate(([0.0], self.levels))[np.searchsorted(self.occupied, k)]
+        return np.concatenate(([0.0], self.levels))[self.occupied.searchsorted(k)]
 
     @property
     def cumulative(self) -> np.ndarray:
@@ -141,21 +142,28 @@ class JumpFunction:
     total_mass_cap: float
 
     def __post_init__(self) -> None:
-        self.locations = np.asarray(self.locations, dtype=np.float64)
-        self.sizes = np.asarray(self.sizes, dtype=np.float64)
-        if self.locations.shape != self.sizes.shape or self.locations.ndim != 1:
+        self.locations = locations = np.asarray(self.locations, dtype=np.float64)
+        self.sizes = sizes = np.asarray(self.sizes, dtype=np.float64)
+        if locations.shape != sizes.shape or locations.ndim != 1:
             raise ValueError("locations and sizes must be 1-d arrays of equal length")
-        if len(self.locations) and np.any(np.diff(self.locations) <= 0.0):
-            raise ValueError("jump locations must be strictly increasing")
-        if np.any(self.sizes <= 0.0):
-            raise ValueError("jump sizes must be positive")
-        if len(self.locations) and self.locations[0] < 0.0:
-            raise ValueError("jump locations must be non-negative")
-        if self.drift < 0.0:
-            raise ValueError(f"drift must be non-negative, got {self.drift}")
-        if self.total_mass_cap < 0.0:
-            raise ValueError(f"total_mass_cap must be non-negative, got {self.total_mass_cap}")
-        self._cumsizes = np.cumsum(self.sizes)
+        # the value of L just after each jump, with 0 in front: evaluate is
+        # one gather; a NaN or infinite size makes the last entry non-finite
+        self._cum = np.zeros(len(sizes) + 1)
+        sizes.cumsum(out=self._cum[1:])
+        # NaN fails every comparison, so these checks also refuse it
+        if len(locations):
+            if not (locations[0] >= 0.0 and locations[-1] < np.inf):
+                raise ValueError("jump locations must be finite and non-negative")
+            if not (locations[1:] > locations[:-1]).all():
+                raise ValueError("jump locations must be strictly increasing")
+            if not (sizes.min() > 0.0 and self._cum[-1] < np.inf):
+                raise ValueError("jump sizes must be finite and positive")
+        if not 0.0 <= self.drift < np.inf:
+            raise ValueError(f"drift must be finite and non-negative, got {self.drift}")
+        if not 0.0 <= self.total_mass_cap < np.inf:
+            raise ValueError(
+                f"total_mass_cap must be finite and non-negative, got {self.total_mass_cap}"
+            )
 
     @property
     def n_jumps(self) -> int:
@@ -169,20 +177,15 @@ class JumpFunction:
     def evaluate(self, x):
         """L(x) for scalar or array x in [0, total_mass_cap]."""
         x = np.asarray(x, dtype=np.float64)
-        if len(self.locations) == 0:
-            out = self.drift * x
-        else:
-            idx = np.searchsorted(self.locations, x, side="right")
-            jump_part = np.where(idx > 0, self._cumsizes[np.maximum(idx, 1) - 1], 0.0)
-            out = self.drift * x + jump_part
+        out = self.drift * x + self._cum[self.locations.searchsorted(x, side="right")]
         return float(out) if out.ndim == 0 else out
 
 
 def default_epsilon(delta: float, hurst: float, c_epsilon: float = DEFAULT_C_EPSILON) -> float:
     """Resolution-adapted window half-width c * delta^H."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if c_epsilon <= 0.0:
+    if not c_epsilon > 0.0:
         raise ValueError(f"c_epsilon must be positive, got {c_epsilon}")
     return c_epsilon * delta**hurst
 
@@ -196,10 +199,10 @@ def estimate_local_time(path: SamplePath, epsilon: float | None = None) -> Local
     delta = path.delta
     if epsilon is None:
         epsilon = default_epsilon(delta, path.spec.hurst)
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     quantum = delta / (2.0 * epsilon)
-    occupied = np.flatnonzero(np.abs(path.values[1:]) < epsilon)
+    occupied = (np.abs(path.values[1:]) < epsilon).nonzero()[0]
     # a sequential sum of the quanta alone: the same bits as a running sum
     # over every cell, since adding the unoccupied cells' 0.0 is exact
     levels = np.cumsum(np.full(len(occupied), quantum))
@@ -216,6 +219,8 @@ def inverse_time(profile: LocalTimeProfile, x: float) -> float:
     evaluation that the jump encoding is checked against; it involves no
     thresholding.
     """
+    if np.isnan(x):
+        raise ValueError("level x must not be NaN")
     if x < 0.0:
         return 0.0
     i = int(np.searchsorted(profile.levels, x, side="right"))
@@ -231,9 +236,10 @@ def grid_index(T, delta: float, grid_size: int):
     up to a relative 1e-9; the result has the shape of ``T``.
     """
     T = np.asarray(T, dtype=np.float64)
-    if not np.all((T > 0.0) & (T <= grid_size * delta * (1.0 + 1e-9))):
+    # NaN fails both comparisons
+    if T.size and not (T.min() > 0.0 and T.max() <= grid_size * delta * (1.0 + 1e-9)):
         raise ValueError(f"T must lie in (0, horizon], got {T}")
-    return np.minimum(np.round(T / delta).astype(np.int64), grid_size)
+    return np.minimum(np.rint(T / delta).astype(np.int64), grid_size)
 
 
 def persistence_indicator(profile: LocalTimeProfile, T, a: float):
@@ -243,7 +249,7 @@ def persistence_indicator(profile: LocalTimeProfile, T, a: float):
     Equivalent to {inverse_time(profile, a) > T} for T on the grid; the two
     encodings agree exactly there because the profile is non-decreasing.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"threshold a must be positive, got {a}")
     held = profile.mass_at(grid_index(T, profile.delta, profile.grid_size)) <= a
     return bool(held) if held.ndim == 0 else held
@@ -272,10 +278,10 @@ def invert_profile(profile: LocalTimeProfile, min_jump_steps: int = DEFAULT_MIN_
         )
     delta = profile.delta
     t_last = (occupied[-1] + 1) * delta
-    gaps = np.diff(occupied) - 1
+    gaps = occupied[1:] - occupied[:-1] - 1
     lead = int(occupied[0])
 
-    big = np.flatnonzero(gaps >= min_jump_steps)
+    big = (gaps >= min_jump_steps).nonzero()[0]
     locations = profile.levels[big]
     sizes = gaps[big] * delta
     if lead >= min_jump_steps:
@@ -283,7 +289,7 @@ def invert_profile(profile: LocalTimeProfile, min_jump_steps: int = DEFAULT_MIN_
         sizes = np.concatenate(([lead * delta], sizes))
 
     total_mass = profile.total_mass
-    jump_mass = float(np.sum(sizes))
+    jump_mass = float(sizes.sum())
     drift = max(0.0, (t_last - jump_mass) / total_mass)
     return JumpFunction(
         locations=locations,
@@ -304,7 +310,7 @@ def atom_diagnostic(profile: LocalTimeProfile) -> float:
     levels = profile.levels
     if len(levels) == 0:
         return 0.0
-    return float(np.max(levels[1:] - levels[:-1], initial=levels[0]))
+    return float((levels[1:] - levels[:-1]).max(initial=levels[0]))
 
 
 def support_diagnostic(profile: LocalTimeProfile) -> float:

@@ -531,8 +531,8 @@ def _compute_path(config: ExperimentConfig, index: int) -> dict:
     stat_valid, covers, heavy_valid = increments is not None, cap >= xw, cap >= 1.0
     # the jump at level 0, when present, is the censored leading stretch;
     # it is kept out of the mark pool and the dump like any other censoring
-    interior = L.locations > 0.0
-    keep = (L.sizes >= config.m0_resolved / 2.0) & interior
+    interior = slice(L.locations.searchsorted(0.0, side="right"), None)
+    keep = L.sizes[interior] >= config.m0_resolved / 2.0
     values.update(
         caps=cap,
         drifts=L.drift,
@@ -543,8 +543,8 @@ def _compute_path(config: ExperimentConfig, index: int) -> dict:
         heavy_valid=heavy_valid,
         marks_pool=L.sizes[interior],
         dump_index=np.full(np.count_nonzero(keep), index, dtype=np.int64),
-        dump_locs=L.locations[keep],
-        dump_sizes=L.sizes[keep],
+        dump_locs=L.locations[interior][keep],
+        dump_sizes=L.sizes[interior][keep],
     )
     if stat_valid:
         values["L_incr"], values["L_ref"] = increments
@@ -565,10 +565,9 @@ def _compute_path(config: ExperimentConfig, index: int) -> dict:
         )
 
     if heavy_valid:
-        values["heavy_counts"] = [
-            count_heavy_subintervals(L, int(n_sub), r_ratio)
-            for n_sub in config.heavy_subdivisions
-        ]
+        values["heavy_counts"] = count_heavy_subintervals(
+            L, config.heavy_subdivisions, r_ratio
+        )
     return values
 
 

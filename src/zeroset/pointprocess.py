@@ -11,6 +11,7 @@ estimate from ensembles.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,20 +53,21 @@ class MarkedPointSet:
     window: tuple[float, float]
 
     def __post_init__(self) -> None:
-        self.locations = np.asarray(self.locations, dtype=np.float64)
-        self.marks = np.asarray(self.marks, dtype=np.float64)
-        if self.locations.shape != self.marks.shape or self.locations.ndim != 1:
+        self.locations = locations = np.asarray(self.locations, dtype=np.float64)
+        self.marks = marks = np.asarray(self.marks, dtype=np.float64)
+        if locations.shape != marks.shape or locations.ndim != 1:
             raise ValueError("locations and marks must be 1-d arrays of equal length")
         lo, hi = self.window
-        if not lo < hi:
-            raise ValueError(f"window must satisfy lo < hi, got {self.window}")
-        if len(self.locations):
-            if np.any(np.diff(self.locations) <= 0.0):
+        # NaN fails every comparison, so these checks also refuse it
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"window must be finite with lo < hi, got {self.window}")
+        if len(locations):
+            if not (locations[1:] > locations[:-1]).all():
                 raise ValueError("locations must be strictly increasing")
-            if self.locations[0] < lo or self.locations[-1] > hi:
+            if not (lo <= locations[0] and locations[-1] <= hi):
                 raise ValueError("locations must lie inside the window")
-        if np.any(self.marks <= 0.0):
-            raise ValueError("marks must be positive")
+            if not (marks.min() > 0.0 and marks.max() < np.inf):
+                raise ValueError("marks must be finite and positive")
 
     @property
     def n_points(self) -> int:
@@ -73,8 +75,12 @@ class MarkedPointSet:
 
     def count(self, x_hi: float, mark_gt: float) -> int:
         """Number of points with location in (0, x_hi] and mark > mark_gt."""
-        keep = (self.locations > 0.0) & (self.locations <= x_hi) & (self.marks > mark_gt)
-        return int(np.count_nonzero(keep))
+        if math.isnan(x_hi):
+            raise ValueError("x_hi must not be NaN")
+        # the locations are strictly increasing, so (0, x_hi] is a slice
+        first = self.locations.searchsorted(0.0, side="right")
+        stop = self.locations.searchsorted(x_hi, side="right")
+        return int(np.count_nonzero(self.marks[first:stop] > mark_gt))
 
 
 @dataclass
@@ -108,10 +114,12 @@ def jumps_to_empp(L: JumpFunction, window: tuple[float, float]) -> MarkedPointSe
         raise ValueError(
             f"window {window} exceeds total_mass_cap {L.total_mass_cap}"
         )
-    keep = (L.locations >= lo) & (L.locations <= hi)
+    # the locations are strictly increasing, so the jumps in [lo, hi] are a slice
+    first = L.locations.searchsorted(lo, side="left")
+    stop = L.locations.searchsorted(hi, side="right")
     return MarkedPointSet(
-        locations=L.locations[keep].copy(),
-        marks=L.sizes[keep].copy(),
+        locations=L.locations[first:stop].copy(),
+        marks=L.sizes[first:stop].copy(),
         window=(lo, hi),
     )
 
@@ -140,7 +148,7 @@ def rescale_empp(points: MarkedPointSet, r: float, beta: float) -> MarkedPointSe
     This is the point-level form of the scaling that maps the point process
     of an H-self-similar path to itself in law when beta = 1 / (1 - H).
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"scale r must be positive, got {r}")
     mark_scale = r**beta
     return MarkedPointSet(
@@ -150,25 +158,69 @@ def rescale_empp(points: MarkedPointSet, r: float, beta: float) -> MarkedPointSe
     )
 
 
-def count_heavy_subintervals(L: JumpFunction, n: int, r: float) -> int:
+@functools.lru_cache(maxsize=8)
+def _level_grid(n: int) -> np.ndarray:
+    """The levels k / n, k = 0..n, as ``arange(n + 1) / n``; cached read-only."""
+    grid = np.arange(n + 1, dtype=np.float64) / n
+    grid.flags.writeable = False
+    return grid
+
+
+def count_heavy_subintervals(L: JumpFunction, n, r: float):
     """Number of n-th level subintervals of (0, 1] with L-increment above r.
 
-    Computes sum_{k=1..n} 1{L(k/n) - L((k-1)/n) > r}.  Once 1/n is smaller
-    than the smallest gap between jump locations, each subinterval holds at
-    most one jump and the count stabilises at the number of jumps in (0, 1]
-    with size above r (plus the negligible drift contribution).
+    Computes sum_{k=1..n} 1{L(k/n) - L((k-1)/n) > r}, with the levels k/n
+    of ``arange(n + 1) / n``.  One ``n`` gives an int; a sequence of them
+    gives an int64 array of counts, from one evaluation of L.  Once 1/n is
+    smaller than the smallest gap between jump locations, each subinterval
+    holds at most one jump and the count stabilises at the number of jumps
+    in (0, 1] with size above r (plus the negligible drift contribution).
+
+    Only the subintervals that hold a jump in (0, 1] are evaluated: one
+    without a jump rises by the drift alone, at most 2 drift / n plus four
+    rounding units of L(1), and while that bound stays below r it cannot
+    count.  Where the bound reaches r, all n subintervals are evaluated.
+    Either way the count equals the one over the full level grid.
     """
-    if n < 1:
+    ns = np.asarray(n)
+    if ns.dtype.kind not in "iu" or ns.ndim > 1:
+        raise ValueError(f"n must be an integer or a 1-d sequence of them, got {n!r}")
+    subdivisions = ns.reshape(-1).tolist()
+    if min(subdivisions, default=0) < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"threshold r must be positive, got {r}")
     if L.total_mass_cap < 1.0:
         raise ValueError(
             f"L is only defined up to {L.total_mass_cap}; counting needs [0, 1]"
         )
-    grid = np.arange(n + 1, dtype=np.float64) / n
-    values = L.evaluate(grid)
-    return int(np.count_nonzero(np.diff(values) > r))
+    locs = L.locations
+    # a jump at level 0 belongs to L(0), not to a subinterval
+    inner = locs[locs.searchsorted(0.0, side="right"):locs.searchsorted(1.0, side="right")]
+    # drift + total jump mass bounds L(1) from above, hence also its rounding unit
+    rounding = 4.0 * np.spacing(L.drift + L._cum[-1])
+    lefts, rights = [], []
+    for m in subdivisions:
+        grid = _level_grid(m)
+        if 2.0 * L.drift / m + rounding < r:
+            # subinterval k holds the jumps x with grid[k - 1] < x <= grid[k];
+            # it is taken once, at the last of its jumps
+            k = grid.searchsorted(inner, side="left")
+            last = np.ones(len(k), dtype=bool)
+            np.not_equal(k[1:], k[:-1], out=last[:-1])
+            k = k[last]
+            lefts.append(grid[k - 1])
+            rights.append(grid[k])
+        else:
+            lefts.append(grid[:-1])
+            rights.append(grid[1:])
+    values = L.evaluate(np.concatenate(lefts + rights))
+    heavy = values[len(values) // 2:] - values[:len(values) // 2] > r
+    counts, start = [], 0
+    for edges in lefts:
+        counts.append(np.count_nonzero(heavy[start:start + len(edges)]))
+        start += len(edges)
+    return int(counts[0]) if ns.ndim == 0 else np.array(counts, dtype=np.int64)
 
 
 def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit:
@@ -254,10 +306,13 @@ def window_exceedance_counts(
     L: JumpFunction, x_window: float, thresholds: Sequence[float]
 ) -> np.ndarray:
     """Counts of jumps with level in (0, x_window] and size above each threshold."""
-    inside = (L.locations > 0.0) & (L.locations <= x_window)
-    sizes = np.sort(L.sizes[inside])
+    if math.isnan(x_window):
+        raise ValueError("x_window must not be NaN")
+    first = L.locations.searchsorted(0.0, side="right")
+    stop = L.locations.searchsorted(x_window, side="right")
+    sizes = np.sort(L.sizes[first:stop])
     thr = np.asarray(thresholds, dtype=np.float64)
-    return (len(sizes) - np.searchsorted(sizes, thr, side="right")).astype(np.int64)
+    return (len(sizes) - sizes.searchsorted(thr, side="right")).astype(np.int64)
 
 
 def intensity_ratio_from_counts(low_total: int, high_total: int) -> float:
@@ -280,9 +335,9 @@ def intensity_ratio_test(
     power-law intensity the ratio estimates 4^(1-H) independently of the
     unknown constant.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"threshold r must be positive, got {r}")
-    if x_window <= 0.0:
+    if not x_window > 0.0:
         raise ValueError(f"x_window must be positive, got {x_window}")
     low = 0
     high = 0

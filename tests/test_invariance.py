@@ -140,6 +140,10 @@ def test_stationarity_increments_hand_case():
         stationarity_increments(L, x0=-0.1, h=0.5)
     with pytest.raises(ValueError):
         stationarity_increments(L, x0=0.5, h=0.0)
+    with pytest.raises(ValueError):
+        stationarity_increments(L, x0=0.5, h=float("nan"))
+    with pytest.raises(ValueError):
+        stationarity_increments(L, x0=float("nan"), h=0.5)
 
 
 def test_stationarity_validation():
@@ -230,6 +234,10 @@ def test_bi_scale_validation():
         bi_scale_test(pps, r=0.5, hurst=1.0, m0=8.0)
     with pytest.raises(ValueError):
         bi_scale_test(pps, r=0.5, hurst=0.5, m0=0.0)
+    with pytest.raises(ValueError):
+        bi_scale_test(pps, r=0.5, hurst=0.5, m0=float("nan"))
+    with pytest.raises(ValueError):
+        bi_scale_test(pps, r=0.5, hurst=0.5, m0=8.0, x_window=float("nan"))
 
 
 # ---------------------------------------------------------------------------

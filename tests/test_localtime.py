@@ -283,6 +283,55 @@ def test_jump_function_validation():
         JumpFunction(locations=[-1.0], sizes=[1.0], drift=0.0, total_mass_cap=2.0)
 
 
+_NAN, _INF = float("nan"), float("inf")
+_JUMP_FIELDS = dict(locations=[0.1, 0.2, 0.5], sizes=[1.0, 1.0, 1.0], drift=0.0, total_mass_cap=1.0)
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
+def test_jump_function_refuses_non_finite_locations(bad):
+    for locations in ([0.1, bad, 0.5], [bad, 0.2, 0.5], [0.1, 0.2, bad]):
+        with pytest.raises(ValueError):
+            JumpFunction(**dict(_JUMP_FIELDS, locations=locations))
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
+def test_jump_function_refuses_non_finite_sizes(bad):
+    for sizes in ([1.0, bad, 1.0], [bad, 1.0, 1.0], [1.0, 1.0, bad]):
+        with pytest.raises(ValueError):
+            JumpFunction(**dict(_JUMP_FIELDS, sizes=sizes))
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF])
+def test_jump_function_refuses_non_finite_drift(bad):
+    with pytest.raises(ValueError):
+        JumpFunction(**dict(_JUMP_FIELDS, drift=bad))
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF])
+def test_jump_function_refuses_non_finite_cap(bad):
+    with pytest.raises(ValueError):
+        JumpFunction(**dict(_JUMP_FIELDS, total_mass_cap=bad))
+
+
+def test_nan_is_refused_where_a_positive_number_is_required():
+    prof = _hand_profile()
+    with pytest.raises(ValueError):
+        persistence_indicator(prof, T=4.0, a=_NAN)
+    with pytest.raises(ValueError):
+        inverse_time(prof, _NAN)
+    with pytest.raises(ValueError):
+        estimate_local_time(_path_from_values(_VALUES), epsilon=_NAN)
+    with pytest.raises(ValueError):
+        default_epsilon(_NAN, 0.5)
+    with pytest.raises(ValueError):
+        default_epsilon(0.01, 0.5, c_epsilon=_NAN)
+    for field in ("epsilon", "delta"):
+        fields = dict(path_ref=0, epsilon=0.5, delta=1.0, cumulative=_CUMULATIVE)
+        fields[field] = _NAN
+        with pytest.raises(ValueError):
+            LocalTimeProfile.from_cumulative(**fields)
+
+
 def test_jump_function_evaluate_vectorised():
     L = JumpFunction(locations=[1.0, 2.0], sizes=[3.0, 0.5], drift=0.1, total_mass_cap=4.0)
     out = L.evaluate(np.array([0.0, 0.99, 1.0, 2.0, 4.0]))

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 
@@ -418,6 +419,8 @@ PINNED_CHECKSUMS = {
     "curve.csv": "79ddf2263b8a2c22c80055fc508542b75a75a79112e1adde3d94bc9e09f0acf0",
     "maxcurve.csv": "2a550cba37141002123ee7872b973f9a354467e8fd6da00bc8378ef8a4afa9e1",
     "empp.csv": "3f1477204211ba504c708846b0d2ef67a9aa067926619a1a48843aa74c446bd8",
+    "tailfit.json": "a7f1519ad317b42bba52699433ac7f8dd04381491d96b4a1b44c15eaa4d6f387",
+    "invariance.json": "c70276740737e206062340463a49f98e09e4e011cf6c1677d53d3bbcc6938f82",
 }
 
 
@@ -429,6 +432,22 @@ def test_run_experiment_checksums_reproduce(tmp_path):
     assert m1.config_hash == m2.config_hash
     for manifest in (m1, m2):
         assert {name: manifest.outputs[name] for name in PINNED_CHECKSUMS} == PINNED_CHECKSUMS
+
+
+def test_every_traced_layer_name_is_bound_and_called_per_path():
+    """The benchmark's tracer wraps these names in the orchestration
+    namespace; a name that is missing or no longer called by
+    ``_compute_path`` would break or blank a traced layer."""
+    import zeroset.orchestration as orch
+
+    source = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", source)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.LAYER_OF
+    for name in layertrace.LAYER_OF:
+        assert callable(getattr(orch, name, None)), name
+        assert name in orch._compute_path.__code__.co_names, name
 
 
 def test_crashed_run_leaves_no_stale_manifest(monkeypatch, tmp_path):

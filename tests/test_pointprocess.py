@@ -70,6 +70,8 @@ def test_window_restricts_points():
     np.testing.assert_allclose(points.marks, [0.5])
     assert points.n_points == 1
     assert points.window == (0.3, 4.0)
+    # both ends are inclusive
+    assert jumps_to_empp(L, (0.25, 0.6)).locations.tolist() == [0.25, 0.6]
 
 
 def test_window_validation():
@@ -87,12 +89,41 @@ def test_duplicate_locations_are_rejected_at_construction():
         MarkedPointSet(locations=[0.5, 0.5], marks=[1.0, 2.0], window=(0.0, 1.0))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
+def test_point_set_refuses_a_non_finite_location(bad):
+    for locations in ([0.1, bad], [bad, 0.2], [bad]):
+        with pytest.raises(ValueError):
+            MarkedPointSet(locations=locations, marks=[1.0] * len(locations), window=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
+def test_point_set_refuses_a_non_finite_mark(bad):
+    for marks in ([bad, 1.0], [1.0, bad]):
+        with pytest.raises(ValueError):
+            MarkedPointSet(locations=[0.1, 0.2], marks=marks, window=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("window", [(0.0, _NAN), (_NAN, 1.0), (0.0, _INF), (-_INF, 1.0)])
+def test_point_set_refuses_a_non_finite_window(window):
+    with pytest.raises(ValueError):
+        MarkedPointSet(locations=[0.5], marks=[1.0], window=window)
+
+
 def test_count_hand_case():
     points = jumps_to_empp(_hand_L(), (0.0, 4.0))
     assert points.count(1.0, 0.0) == 2
     assert points.count(1.0, 0.5) == 1
     assert points.count(1.0, 3.0) == 0
     assert points.count(0.5, 0.0) == 1  # location 0.6 outside (0, 0.5]
+    assert points.count(0.6, 0.0) == 2  # the right end is inclusive
+    assert points.count(0.0, 0.0) == 0 and points.count(-1.0, 0.0) == 0
+    with pytest.raises(ValueError):
+        points.count(float("nan"), 0.0)
+    at_zero = MarkedPointSet(locations=[0.0, 0.5], marks=[1.0, 1.0], window=(0.0, 1.0))
+    assert at_zero.count(1.0, 0.0) == 1  # the left end is exclusive
 
 
 def test_count_is_monotone_in_the_mark_threshold():
@@ -136,6 +167,8 @@ def test_rescale_identity_at_unit_scale():
     np.testing.assert_array_equal(same.marks, points.marks)
     with pytest.raises(ValueError):
         rescale_empp(points, 0.0, beta=2.0)
+    with pytest.raises(ValueError):
+        rescale_empp(points, float("nan"), beta=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +206,35 @@ def test_count_heavy_subintervals_validation():
         count_heavy_subintervals(_hand_L(), 0, 1.0)
     with pytest.raises(ValueError):
         count_heavy_subintervals(_hand_L(), 4, 0.0)
+    with pytest.raises(ValueError):
+        count_heavy_subintervals(_hand_L(), 4, float("nan"))
+    with pytest.raises(ValueError):
+        count_heavy_subintervals(_hand_L(), [4, 0], 1.0)
+    with pytest.raises(ValueError):
+        count_heavy_subintervals(_hand_L(), 2.5, 1.0)
+    with pytest.raises(ValueError):
+        count_heavy_subintervals(_hand_L(), [[4]], 1.0)
+    with pytest.raises(ValueError):
+        count_heavy_subintervals(_hand_L(), np.array([], dtype=np.int64), 1.0)
+
+
+def test_count_heavy_subintervals_sequence_form():
+    L = _hand_L()
+    counts = count_heavy_subintervals(L, [4, 1, 4096], 0.4)
+    assert counts.dtype == np.int64 and counts.tolist() == [2, 1, 2]
+    assert count_heavy_subintervals(L, np.array([4]), 1.0).tolist() == [1]
+    assert type(count_heavy_subintervals(L, np.int64(4), 1.0)) is int
+
+
+def test_count_heavy_subintervals_counts_drift_only_subintervals():
+    # the drift alone lifts every quarter by 2.5: no subinterval holds a
+    # jump, so all four must be evaluated
+    L = JumpFunction(locations=[], sizes=[], drift=10.0, total_mass_cap=1.0)
+    assert count_heavy_subintervals(L, 4, 1.0) == 4
+    assert count_heavy_subintervals(L, [4, 8, 16], 1.0).tolist() == [4, 8, 0]
+    # a jump at level 0 belongs to L(0) and lifts no subinterval
+    L = JumpFunction(locations=[0.0, 0.5], sizes=[5.0, 2.0], drift=0.0, total_mass_cap=1.0)
+    assert count_heavy_subintervals(L, [1, 2, 3], 1.0).tolist() == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +332,8 @@ def test_window_exceedance_counts_hand_case():
     # only the first jump sits inside (0, 0.5]
     counts = window_exceedance_counts(L, 0.5, thresholds=[0.4, 1.0, 4.0])
     np.testing.assert_array_equal(counts, [1, 1, 0])
+    with pytest.raises(ValueError):
+        window_exceedance_counts(L, float("nan"), thresholds=[0.4])
 
 
 def test_intensity_ratio_from_counts():
@@ -298,3 +362,11 @@ def test_intensity_ratio_skips_short_paths():
     with_short = intensity_ratio_test(good + short, r=2.0)
     without = intensity_ratio_test(good, r=2.0)
     assert with_short == without
+
+
+def test_intensity_ratio_refuses_nan():
+    L = [_hand_L()]
+    with pytest.raises(ValueError):
+        intensity_ratio_test(L, r=float("nan"))
+    with pytest.raises(ValueError):
+        intensity_ratio_test(L, r=1.0, x_window=float("nan"))

@@ -30,7 +30,12 @@ from zeroset import (
     support_diagnostic,
 )
 from zeroset.invariance import self_similarity_masses
-from zeroset.pointprocess import window_exceedance_counts
+from zeroset.pointprocess import (
+    MarkedPointSet,
+    count_heavy_subintervals,
+    rescale_empp,
+    window_exceedance_counts,
+)
 
 # few examples, fixed draws: the suite stays fast and reproducible
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -269,6 +274,95 @@ def test_window_exceedance_counts_match_a_brute_force_count(data):
         for t in thresholds
     ]
     assert counts.dtype == np.int64 and counts.tolist() == brute
+
+
+def _dense_heavy_count(L, n, r):
+    """The heavy-subinterval count over the full level grid: the reference."""
+    return int(np.count_nonzero(np.diff(L.evaluate(np.arange(n + 1, dtype=np.float64) / n)) > r))
+
+
+_subdivisions = st.one_of(st.integers(min_value=1, max_value=8), st.sampled_from([1024, 4096]))
+
+
+@st.composite
+def _jump_functions_on_the_unit_interval(draw):
+    """Jumps anywhere in [0, 1.5], at level 0 and on grid points k/n, and
+    drifts up to 50, so that 2 drift / n reaches the threshold for small n."""
+    n = draw(_subdivisions)
+    locations = sorted(set(draw(st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=1.5),
+            st.integers(min_value=0, max_value=2 * n).map(lambda k: k / n),
+        ),
+        max_size=40,
+    ))))
+    sizes = draw(st.lists(st.floats(min_value=1e-3, max_value=5.0),
+                          min_size=len(locations), max_size=len(locations)))
+    drift = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0)))
+    cap = max([1.0, *locations])
+    return JumpFunction(locations=locations, sizes=sizes, drift=drift, total_mass_cap=cap)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_jump_functions_on_the_unit_interval(), st.lists(_subdivisions, min_size=1, max_size=4),
+       st.data())
+def test_count_heavy_subintervals_matches_the_dense_reference(L, ns, data):
+    increments = np.diff(L.evaluate(np.arange(ns[0] + 1) / ns[0]))
+    # thresholds at random, at an increment itself (where the strict bound
+    # matters) and at the drift bound 2 drift / n that selects the candidates
+    r = data.draw(st.one_of(
+        st.floats(min_value=1e-6, max_value=20.0),
+        st.sampled_from(increments[increments > 0.0].tolist() or [1.0]),
+        st.sampled_from([2.0 * L.drift / n for n in ns if L.drift > 0.0] or [1.0]),
+    ))
+    dense = [_dense_heavy_count(L, n, r) for n in ns]
+    counts = count_heavy_subintervals(L, ns, r)
+    assert counts.dtype == np.int64 and counts.tolist() == dense
+    assert [count_heavy_subintervals(L, n, r) for n in ns] == dense
+
+
+@pytest.mark.parametrize(
+    "family, hurst", [(Family.FBM, 0.3), (Family.BM, 0.5), (Family.ROSENBLATT, 0.75)]
+)
+def test_sampled_heavy_counts_match_the_dense_reference(family, hurst):
+    spec = ProcessSpec(family=family, hurst=hurst, horizon=64.0, grid_size=2**12)
+    ns = [1, 7, 1024, 4096]
+    covered = 0
+    for seed in range(12):
+        L = invert_profile(estimate_local_time(sample(spec, seed)))
+        if L.total_mass_cap < 1.0:
+            continue
+        covered += 1
+        floor = 2.0 * spec.delta
+        for r in (floor, 10.0 * floor, 0.3125, 1.0, *L.sizes[::5]):
+            dense = [_dense_heavy_count(L, n, r) for n in ns]
+            assert count_heavy_subintervals(L, ns, r).tolist() == dense
+            assert [count_heavy_subintervals(L, n, r) for n in ns] == dense
+    assert covered >= 3
+
+
+@_SETTINGS
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**6), max_size=30, unique=True),
+    st.data(),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1.0, max_value=10.0),
+)
+def test_rescale_group_law_holds_to_rounding(ticks, data, r1, r2, beta):
+    locations = np.sort(np.asarray(ticks, dtype=np.float64)) / 10**6
+    marks = data.draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                               min_size=len(ticks), max_size=len(ticks)))
+    points = MarkedPointSet(locations=locations, marks=marks, window=(0.0, 1.0))
+    two_step = rescale_empp(rescale_empp(points, r1, beta), r2, beta)
+    one_step = rescale_empp(points, r1 * r2, beta)
+    eps = np.finfo(np.float64).eps
+    # two roundings per side for levels; for marks also the power, and beta
+    # times the rounding of r1 * r2
+    np.testing.assert_allclose(two_step.locations, one_step.locations, rtol=4 * eps, atol=0)
+    np.testing.assert_allclose(two_step.window, one_step.window, rtol=4 * eps, atol=0)
+    np.testing.assert_allclose(two_step.marks, one_step.marks, rtol=(8 + beta) * eps, atol=0)
 
 
 _positive = st.floats(min_value=1e-3, max_value=1e3)
