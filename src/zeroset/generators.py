@@ -183,23 +183,35 @@ def _embedding_size(n: int) -> int:
     return 1 << max(1, int(math.ceil(math.log2(max(2, 2 * (n - 1))))))
 
 
-def _circulant_sqrt_eig(acov: np.ndarray, m: int) -> np.ndarray:
+def _circulant_sqrt_eig(m: int, acov_at) -> np.ndarray:
     """Eigenvalue square roots of the circulant embedding of a covariance.
 
-    ``acov`` holds the autocovariance at lags 0..m/2.  Raises if any of the
-    m eigenvalues is negative beyond rounding noise.  The spectrum of a
-    symmetric row is symmetric, so only the roots at nodes 0..m/2 are
-    returned.
+    ``acov_at(lags)`` gives the autocovariance at the lags 0..m/2 (a float
+    array) as a new array.  It is written with its mirror into the real
+    part of one zeroed complex row of length m, which the FFT then
+    transforms in place; the lags and the covariance are dropped before
+    the transform, so the row is the only array of size m alive during
+    it.  Raises if any of the m eigenvalues is negative beyond rounding
+    noise.  The spectrum of a symmetric row is symmetric, so only the
+    roots at nodes 0..m/2 are returned.
     """
-    row = np.concatenate([acov, acov[-2:0:-1]])
-    lam = np.fft.fft(row).real
+    half = m // 2
+    lags = np.arange(half + 1, dtype=np.float64)
+    acov = acov_at(lags)
+    del lags
+    row = np.zeros(m, dtype=np.complex128)
+    row.real[: half + 1] = acov
+    row.real[half + 1 :] = acov[-2:0:-1]
+    del acov
+    np.fft.fft(row, out=row)
+    lam = row.real
     lam_max = lam.max()
     if lam.min() < -NEG_EIG_TOL * lam_max:
         raise RuntimeError(
             f"circulant embedding is not non-negative definite "
             f"(min eigenvalue {lam.min():.3e}, max {lam_max:.3e})"
         )
-    lam = lam[: m // 2 + 1]
+    lam = lam[: half + 1]
     np.clip(lam, 0.0, None, out=lam)
     return np.sqrt(lam)
 
@@ -254,10 +266,12 @@ def _fgn_sqrt_eig(hurst: float, n: int) -> tuple[int, np.ndarray]:
     if hit is not None:
         return hit
     m = _embedding_size(n)
-    lags = np.arange(m // 2 + 1, dtype=np.float64)
     two_h = 2.0 * hurst
-    acov = 0.5 * (np.abs(lags + 1) ** two_h - 2.0 * lags**two_h + np.abs(lags - 1) ** two_h)
-    out = (m, _circulant_sqrt_eig(acov, m))
+
+    def acov_at(lags):
+        return 0.5 * (np.abs(lags + 1) ** two_h - 2.0 * lags**two_h + np.abs(lags - 1) ** two_h)
+
+    out = (m, _circulant_sqrt_eig(m, acov_at))
     _EIG_CACHE[key] = out
     return out
 
@@ -268,9 +282,7 @@ def _rosenblatt_sqrt_eig(hurst: float, n: int) -> tuple[int, np.ndarray]:
     if hit is not None:
         return hit
     m = _embedding_size(n)
-    lags = np.arange(m // 2 + 1, dtype=np.float64)
-    acov = (1.0 + lags) ** (-(1.0 - hurst))
-    out = (m, _circulant_sqrt_eig(acov, m))
+    out = (m, _circulant_sqrt_eig(m, lambda lags: (1.0 + lags) ** (-(1.0 - hurst))))
     _EIG_CACHE[key] = out
     return out
 

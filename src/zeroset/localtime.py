@@ -20,6 +20,7 @@ refinement diagnostic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "estimate_local_time",
     "inverse_time",
     "grid_index",
+    "horizon_stretches",
     "persistence_indicator",
     "invert_profile",
     "atom_diagnostic",
@@ -242,6 +244,32 @@ def grid_index(T, delta: float, grid_size: int):
     return np.minimum(np.rint(T / delta).astype(np.int64), grid_size)
 
 
+def horizon_stretches(T, delta: float, grid_size: int):
+    """The grid points of the horizons T and the stretches that reach them.
+
+    Returns ``(k, ends, starts, positions)``: ``k = grid_index(T, delta,
+    grid_size)``, the distinct sorted indices ``ends`` of k, the first grid
+    point ``starts`` of each stretch up to an end, and the position of each
+    k in ``ends``.  They depend on the horizons and the grid only, not on
+    a path, so they are computed once per (T, delta, grid_size) and shared
+    read-only by every later call.
+    """
+    T = np.asarray(T, dtype=np.float64)
+    return _horizon_stretches(T.tobytes(), T.shape, delta, grid_size)
+
+
+@functools.lru_cache(maxsize=8)
+def _horizon_stretches(raw: bytes, shape: tuple, delta: float, grid_size: int):
+    k = grid_index(np.frombuffer(raw).reshape(shape), delta, grid_size)
+    ends = np.unique(k)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    positions = np.searchsorted(ends, k)
+    for array in (k, ends, starts, positions):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return k, ends, starts, positions
+
+
 def persistence_indicator(profile: LocalTimeProfile, T, a: float):
     """Indicator of the event {local time accrued on (0, T] <= a}.
 
@@ -251,7 +279,8 @@ def persistence_indicator(profile: LocalTimeProfile, T, a: float):
     """
     if not a > 0.0:
         raise ValueError(f"threshold a must be positive, got {a}")
-    held = profile.mass_at(grid_index(T, profile.delta, profile.grid_size)) <= a
+    k = horizon_stretches(T, profile.delta, profile.grid_size)[0]
+    held = profile.mass_at(k) <= a
     return bool(held) if held.ndim == 0 else held
 
 

@@ -256,7 +256,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         version = raw.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
             )
@@ -293,8 +293,10 @@ class ExperimentConfig:
         t_grid = raw.get("t_grid")
         if t_grid is None:
             t_grid = tuple(horizon / 2**j for j in range(8, -1, -1))
-        else:
+        elif isinstance(t_grid, (list, tuple)):
             t_grid = tuple(_finite(t, "t_grid") for t in t_grid)
+        else:
+            raise ConfigError(f"t_grid must be a list of horizons or null, got {t_grid!r}")
         fit_range = raw.get("fit_range")
         if fit_range is None:
             fit_lo = fit_hi = None
@@ -416,9 +418,12 @@ def _integer(value, name: str) -> int:
 def _finite(value, name: str) -> float:
     """A finite JSON number as a float; booleans, NaN and infinities are errors."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        value = float(value)
-        if math.isfinite(value):
-            return value
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond every float
+            number = math.inf
+        if math.isfinite(number):
+            return number
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 

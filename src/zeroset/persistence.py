@@ -18,7 +18,7 @@ from scipy.special import erf
 
 from .errors import FitRangeError
 from .generators import SamplePath
-from .localtime import LocalTimeProfile, grid_index, persistence_indicator
+from .localtime import LocalTimeProfile, horizon_stretches, persistence_indicator
 
 __all__ = [
     "PersistenceCurve",
@@ -57,16 +57,17 @@ class PersistenceCurve:
             raise ValueError("T_grid, survival and counts must be 1-d arrays of equal length")
         if len(self.T_grid) == 0:
             raise ValueError("curve must contain at least one horizon")
-        if np.any(np.diff(self.T_grid) <= 0.0):
-            raise ValueError("T_grid must be strictly increasing")
+        if not (np.isfinite(self.T_grid).all() and (self.T_grid[1:] > self.T_grid[:-1]).all()):
+            raise ValueError("T_grid must be finite and strictly increasing")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
-        if np.any((self.survival < 0.0) | (self.survival > 1.0)):
+        # NaN fails every comparison, so these checks also refuse it
+        if not ((self.survival >= 0.0) & (self.survival <= 1.0)).all():
             raise ValueError("survival must lie in [0, 1]")
         if np.any(np.diff(self.survival) > 0.0):
             raise ValueError("survival must be non-increasing in T")
-        if self.a <= 0.0:
-            raise ValueError("threshold a must be positive")
+        if not self.a > 0.0:
+            raise ValueError(f"threshold a must be positive, got {self.a}")
 
     def standard_error(self) -> np.ndarray:
         """Binomial normal-approximation standard error of each estimate."""
@@ -189,9 +190,9 @@ def bm_exact_persistence(T: float, a: float = 1.0) -> float:
     running maximum (and hence |value|) in law at hurst = 1/2; accurate to
     double precision (well below 1e-12 relative error).
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"a must be positive, got {a}")
     return float(erf(a / np.sqrt(2.0 * T)))
 
@@ -206,9 +207,7 @@ def max_persistence_indicator(path: SamplePath, T):
     stretch between consecutive requested grid points, accumulated over
     those stretches.
     """
-    k = grid_index(T, path.delta, path.spec.grid_size)
-    ends = np.unique(k)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    _, ends, starts, positions = horizon_stretches(T, path.delta, path.spec.grid_size)
     running = np.maximum.accumulate(np.maximum.reduceat(path.values[: ends[-1] + 1], starts))
-    held = running[np.searchsorted(ends, k)] <= 1.0
+    held = running[positions] <= 1.0
     return bool(held) if held.ndim == 0 else held

@@ -241,8 +241,9 @@ def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit
         raise InsufficientDataError(
             f"Hill needs at least 3 marks, got {len(marks)}"
         )
-    if marks.min() <= 0.0:
-        raise ValueError("marks must be positive")
+    # NaN fails both comparisons
+    if not (marks.min() > 0.0 and marks.max() < np.inf):
+        raise ValueError("marks must be finite and positive")
     if not 2 <= k < len(marks):
         raise InsufficientDataError(
             f"k must satisfy 2 <= k < n_marks = {len(marks)}, got {k}"
@@ -283,6 +284,8 @@ def loglog_count_fit(mean_counts: np.ndarray, thresholds: np.ndarray) -> Intensi
         raise ValueError("mean_counts and thresholds must be 1-d arrays of equal length")
     if len(mean_counts) < 2:
         raise InsufficientDataError("need at least 2 thresholds for the count fit")
+    if not (np.isfinite(mean_counts).all() and np.isfinite(thresholds).all()):
+        raise ValueError("counts and thresholds must be finite")
     if np.any(mean_counts <= 0.0) or np.any(thresholds <= 0.0):
         raise InsufficientDataError("counts and thresholds must be positive")
     x = np.log(thresholds)

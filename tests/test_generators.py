@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from zeroset import (
     sample_fbm,
     sample_rosenblatt,
 )
+from zeroset import generators
 from zeroset.generators import (
     _BUFFERS,
+    _circulant_sqrt_eig,
     _embedding_size,
     _fgn_sqrt_eig,
     _rosenblatt_sqrt_eig,
@@ -136,6 +139,59 @@ def test_embedding_size_powers_of_two():
     assert _embedding_size(64) == 128
     assert _embedding_size(65) == 128
     assert _embedding_size(66) == 256
+
+
+def _real_row_sqrt_eig(acov, m):
+    """The roots from a real row and an out-of-place FFT, the reference."""
+    row = np.concatenate([acov, acov[-2:0:-1]])
+    return np.sqrt(np.clip(np.fft.fft(row).real[: m // 2 + 1], 0.0, None))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 1024, 2**13 + 1])
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_fgn_roots_equal_the_real_row_reference(monkeypatch, hurst, n):
+    monkeypatch.setattr(generators, "_EIG_CACHE", {})
+    m, sqrt_lam = _fgn_sqrt_eig(hurst, n)
+    lags = np.arange(m // 2 + 1, dtype=np.float64)
+    two_h = 2.0 * hurst
+    acov = 0.5 * (np.abs(lags + 1) ** two_h - 2.0 * lags**two_h + np.abs(lags - 1) ** two_h)
+    np.testing.assert_array_equal(sqrt_lam, _real_row_sqrt_eig(acov, m))
+
+
+@pytest.mark.parametrize("n", [2, 16, 17, 2**13 + 1])
+@pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+def test_rosenblatt_roots_equal_the_real_row_reference(monkeypatch, hurst, n):
+    monkeypatch.setattr(generators, "_EIG_CACHE", {})
+    m, sqrt_lam = _rosenblatt_sqrt_eig(hurst, n)
+    lags = np.arange(m // 2 + 1, dtype=np.float64)
+    acov = (1.0 + lags) ** (-(1.0 - hurst))
+    np.testing.assert_array_equal(sqrt_lam, _real_row_sqrt_eig(acov, m))
+
+
+@pytest.mark.parametrize("build", [_fgn_sqrt_eig, _rosenblatt_sqrt_eig])
+def test_eigen_setup_holds_one_complex_row(monkeypatch, build):
+    """numpy's traced peak while the roots are built: the complex row of
+    16 m bytes and the roots or the covariance of 4 m, within 24 m."""
+    monkeypatch.setattr(generators, "_EIG_CACHE", {})
+    n = 2**16
+    m = _embedding_size(n)
+    assert m == 2**17
+    tracemalloc.start()
+    try:
+        build(0.75, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * m
+
+
+def test_non_definite_embedding_is_refused():
+    # a row 0.5, 1, 0, ..., 0, 1 has the eigenvalues 0.5 + 2 cos(2 pi k / m)
+    def acov_at(lags):
+        return np.where(lags == 0, 0.5, np.where(lags == 1, 1.0, 0.0))
+
+    with pytest.raises(RuntimeError, match="not non-negative definite"):
+        _circulant_sqrt_eig(64, acov_at)
 
 
 def _complex_synthesis(n, acov, m, seed):

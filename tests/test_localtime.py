@@ -18,6 +18,7 @@ from zeroset import (
     support_diagnostic,
 )
 from zeroset.generators import SamplePath
+from zeroset.localtime import grid_index, horizon_stretches
 
 
 def _path_from_values(values, horizon=None, hurst=0.5):
@@ -175,6 +176,25 @@ def test_persistence_indicator_sequence_of_horizons():
     # cumulative at grid points 1, 3, 4, 4, 5, 8 is 1, 1, 2, 2, 3, 4
     assert events.tolist() == [True, True, True, True, False, False]
     assert events.tolist() == [persistence_indicator(prof, T, 2.0) for T in T_grid]
+
+
+def test_horizon_stretches_are_computed_once_and_read_only():
+    T_grid = (1.0, 3.0, 4.0, 4.4, 4.6, 8.0)
+    first = horizon_stretches(T_grid, 1.0, 8)
+    # any sequence type with the same horizons shares the cached plan
+    assert horizon_stretches(list(T_grid), 1.0, 8) is first
+    assert horizon_stretches(np.array(T_grid), 1.0, 8) is first
+    assert horizon_stretches(T_grid, 0.5, 16) is not first
+    k, ends, starts, positions = first
+    np.testing.assert_array_equal(k, grid_index(T_grid, 1.0, 8))
+    np.testing.assert_array_equal(ends, [1, 3, 4, 5, 8])
+    np.testing.assert_array_equal(starts, [0, 2, 4, 5, 6])
+    np.testing.assert_array_equal(ends[positions], k)
+    for array in first:
+        assert not array.flags.writeable
+    # one horizon gives scalar indices, as grid_index does
+    k, ends, starts, positions = horizon_stretches(4.4, 1.0, 8)
+    assert k == 4 and np.ndim(k) == 0 and ends.tolist() == [4] and positions == 0
 
 
 def test_indicator_agrees_with_inverse_route():

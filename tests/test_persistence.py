@@ -46,6 +46,13 @@ def test_bm_exact_persistence_limits_and_validation():
         bm_exact_persistence(1.0, a=0.0)
 
 
+def test_bm_exact_persistence_refuses_nan():
+    with pytest.raises(ValueError, match="T must be positive"):
+        bm_exact_persistence(np.nan)
+    with pytest.raises(ValueError, match="a must be positive"):
+        bm_exact_persistence(1.0, np.nan)
+
+
 # ---------------------------------------------------------------------------
 # survival curves
 # ---------------------------------------------------------------------------
@@ -75,6 +82,17 @@ def test_curve_must_be_non_increasing():
         PersistenceCurve(
             T_grid=[1.0, 2.0], survival=[0.25, 0.5], counts=[1, 2], n_paths=4, a=1.0
         )
+
+
+@pytest.mark.parametrize("override", [
+    dict(T_grid=[np.nan, 2.0]), dict(T_grid=[1.0, np.nan]), dict(T_grid=[1.0, np.inf]),
+    dict(T_grid=[np.nan], survival=[0.75], counts=[3]),
+    dict(survival=[np.nan, 0.5]), dict(survival=[0.5, np.nan]), dict(a=np.nan),
+])
+def test_curve_refuses_nan(override):
+    fields = dict(T_grid=[1.0, 2.0], survival=[0.75, 0.5], counts=[3, 2], n_paths=4, a=1.0)
+    with pytest.raises(ValueError):
+        PersistenceCurve(**{**fields, **override})
 
 
 def test_standard_error_formula():

@@ -265,6 +265,12 @@ def test_hill_validation():
         hill_tail_index([1.0, -2.0, 3.0], k=2)
 
 
+def test_hill_refuses_nan_and_infinite_marks():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            hill_tail_index([bad, 1.0, 2.0, 3.0, 4.0], k=2)
+
+
 def test_hill_sums_the_log_ratios_in_descending_order():
     # the in-place log keeps the element order, so the mean (and every
     # tailfit.json written from it) is bit-identical to the plain formula
@@ -318,6 +324,14 @@ def test_loglog_fit_validation():
         loglog_count_fit(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         loglog_count_fit(np.array([1.0, 2.0]), np.array([[1.0, 2.0]]))
+
+
+def test_loglog_fit_refuses_nan_and_infinities():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            loglog_count_fit(np.array([bad, 1.0, 0.5]), np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(ValueError, match="finite"):
+            loglog_count_fit(np.array([2.0, 1.0, 0.5]), np.array([1.0, 2.0, bad]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ are drawn over every key of the schema.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from zeroset import (
@@ -29,6 +30,7 @@ from zeroset import (
     sample,
     support_diagnostic,
 )
+from zeroset.errors import ConfigError
 from zeroset.invariance import self_similarity_masses
 from zeroset.pointprocess import (
     MarkedPointSet,
@@ -422,3 +424,76 @@ def test_config_round_trips_through_its_dict(raw):
     config = ExperimentConfig.from_dict(raw)
     assert ExperimentConfig.from_dict(config.to_dict()) == config
     assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+# Values that every config field must refuse with ConfigError, by field:
+# wrong types, NaN, infinities (10**400 is a JSON integer that no float
+# holds), booleans and values outside the field's range.  null is listed
+# only where the field has no null meaning.
+_WRONG_TYPES = ("1", [1.0], {"x": 1.0})
+_NON_FINITE = (math.nan, math.inf, -math.inf, 10**400)
+_BOOLS = (True, False)
+
+
+def _bad_numbers(*out_of_range, nullable=False):
+    return _WRONG_TYPES + _NON_FINITE + _BOOLS + out_of_range + (() if nullable else (None,))
+
+
+def _bad_integers(*out_of_range, nullable=False):
+    return _WRONG_TYPES + _NON_FINITE[:3] + _BOOLS + (1.5,) + out_of_range + (
+        () if nullable else (None,))
+
+
+_BAD_FIELDS = {
+    ("schema_version",): _WRONG_TYPES + _NON_FINITE + _BOOLS + (None, 0, 2, 1.5),
+    ("process",): ("x", [], None, 1.0, True),
+    ("process", "family"): ("FBM", "gauss", "", None, 1, True, math.nan, ["fbm"]),
+    ("process", "hurst"): _bad_numbers(0.0, 1.0, -0.5, 1.5),
+    ("process", "horizon"): _bad_numbers(0.0, -1.0),
+    ("process", "grid_size"): _bad_integers(0, -1),
+    ("process", "micro_factor"): _bad_integers(0, -1),
+    ("n_paths",): _bad_integers(0, -1),
+    ("master_seed",): _bad_integers(-1, 2**64, 10**400),
+    ("epsilon",): ("x", [], None, 1.0, True),
+    ("epsilon", "c"): _bad_numbers(0.0, -0.5),
+    ("epsilon", "exponent_is_hurst"): (0, 1, 0.0, "true", None, math.nan, [True], {}),
+    ("t_grid",): (5, 1.5, True, math.nan, "x", {"1": 1.0}, [], [2.0, 1.0], [1.0, 1.0])
+    + tuple([bad] for bad in (math.nan, math.inf, 10**400, True, "1", None, -1.0, 0.0, 1e300)),
+    ("threshold",): _bad_numbers(0.0, -1.0),
+    ("fit_range",): ("x", 5, True, math.nan, {}, [1.0], [1.0, 2.0, 3.0])
+    + tuple([bad, 2.0] for bad in (math.nan, math.inf, 10**400, True, "1", None))
+    + ([1.0, math.inf], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0]),
+    ("analysis",): ("x", [], None, 1.0, True),
+    ("analysis", "mark_floor_factor"): _bad_numbers(0.0, -1.0),
+    ("analysis", "hill_k"): _bad_integers(1, 0, -5, nullable=True),
+    ("analysis", "ratio_r"): _bad_numbers(0.0, -1.0, nullable=True),
+    ("analysis", "x_window"): _bad_numbers(0.0, -1.0),
+    ("analysis", "m0"): _bad_numbers(0.0, -1.0, nullable=True),
+    ("analysis", "test_r"): _bad_numbers(0.0, 1.0, -0.5, 1.5),
+    ("analysis", "test_x0"): _bad_numbers(-1e-3, -1.0),
+    ("analysis", "test_h"): _bad_numbers(0.0, -1.0),
+    ("analysis", "heavy_subdivisions"): (5, True, math.nan, None, "x", {"1": 1, "2": 2})
+    + tuple([bad, 4] for bad in (0, -1, 1.5, math.nan, math.inf, True, "1", None))
+    + ([4], [4, 4, 4], []),
+    ("tests",): ("self_similarity", 5, True, math.nan, None, {})
+    + (["nope"], [1], [True], [None], [["bi_scale"]]),
+    ("workers",): _bad_integers(0, -1),
+    ("out_dir",): (5, 1.5, True, math.nan, [], {}, ["run"]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_BAD_FIELDS), ids=".".join)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(raw=_raw_configs())
+def test_config_refuses_every_bad_field_value(field, raw):
+    ExperimentConfig.from_dict(raw)
+    *parents, key = field
+    for bad in _BAD_FIELDS[field]:
+        mutated = json.loads(json.dumps(raw))
+        owner = mutated
+        for name in parents:
+            owner = owner.setdefault(name, {})
+        owner[key] = bad
+        note(f"{'.'.join(field)} = {bad!r}")
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(mutated)
