@@ -1,9 +1,11 @@
 """Exact and approximate samplers for H-self-similar processes.
 
-Three families are supported.  Fractional Brownian motion (including plain
-Brownian motion at hurst = 1/2) is sampled exactly through circulant
-embedding of the increment covariance: the stationary Gaussian increments
-are synthesised in the Fourier domain and cumulated.  The Rosenblatt
+Three families are supported.  Fractional Brownian motion is sampled
+exactly through circulant embedding of the increment covariance: the
+stationary Gaussian increments are synthesised in the Fourier domain and
+cumulated.  At hurst = 1/2 (plain Brownian motion, or FBM at 1/2) the
+increments are white and the embedding's spectrum is flat, so the draw is
+n standard normals, used directly as the increments.  The Rosenblatt
 process, which is non-Gaussian and only defined for hurst in (1/2, 1), is
 approximated by normalised partial sums of squared long-memory Gaussians
 on a micro-lattice finer than the output grid.
@@ -240,7 +242,9 @@ def _stationary_gaussian(n: int, sqrt_lam: np.ndarray, m: int, rng: np.random.Ge
     without its redundant half.  The draw order (one block of m standard
     normals: node 0, the Nyquist node, then the real parts at nodes
     1..m/2-1, then their imaginary parts) is part of the reproducibility
-    contract and must not be reordered.
+    contract and must not be reordered.  At H = 1/2 ``sample_fbm`` does not
+    come here: its draw is one block of n standard normals, the increments
+    in time order.
 
     The result is a view into a buffer of the calling thread that the next
     call with the same m overwrites: use it, or copy it, before drawing
@@ -299,16 +303,25 @@ def sample_fbm(spec: ProcessSpec, seed: int) -> SamplePath:
     embedding, scaled by delta^H and cumulated.  The embedding reproduces the
     target covariance exactly, so each path is a draw from the true
     finite-dimensional law on the grid.
+
+    At H = 1/2 the noise is white: its autocovariance is (1, 0, 0, ...) and
+    every eigenvalue of the embedding is exactly 1, so the n increments are
+    drawn as n standard normals, straight into the path, for FBM and BM
+    alike.
     """
     if spec.family not in (Family.FBM, Family.BM):
         raise ValueError(f"sample_fbm handles FBM and BM, got {spec.family}")
     n = spec.grid_size
-    m, sqrt_lam = _fgn_sqrt_eig(spec.hurst, n)
     rng = np.random.default_rng(seed)
-    increments = _stationary_gaussian(n, sqrt_lam, m, rng)
-    increments *= spec.delta**spec.hurst
     values = np.empty(n + 1, dtype=np.float64)
     values[0] = 0.0
+    if spec.hurst == 0.5:
+        increments = values[1:]
+        rng.standard_normal(out=increments)
+    else:
+        m, sqrt_lam = _fgn_sqrt_eig(spec.hurst, n)
+        increments = _stationary_gaussian(n, sqrt_lam, m, rng)
+    increments *= spec.delta**spec.hurst
     np.cumsum(increments, out=values[1:])
     return SamplePath(spec=spec, seed=seed, values=values)
 

@@ -97,6 +97,18 @@ TOOLKIT_VERSION = "0.1.0"
 
 MAX_FAILURE_FRACTION = 0.01
 CHUNK_TARGET = 256
+
+# Ceilings of the config's size fields, far above any run the code is sized
+# for: the acceptance gate draws at most 2^16 steps, 2^18 micro-points and
+# 2 * 10^4 paths per run.  A Rosenblatt lattice of 2^26 points already
+# needs a 2 GiB eigenvalue row.  MAX_LATTICE_POINTS bounds
+# grid_size * micro_factor for every family, and admits the default
+# micro_factor 16 at every grid.
+MAX_GRID_SIZE = 2**22
+MAX_LATTICE_POINTS = 2**26
+MAX_N_PATHS = 10**8
+MAX_WORKERS = 256
+
 # rows of empp.csv formatted per write
 EMPP_BLOCK_ROWS = 4096
 
@@ -159,8 +171,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.spec()  # delegate process validation
-        if self.n_paths < 1:
-            raise ConfigError(f"n_paths must be positive, got {self.n_paths}")
+        if self.grid_size > MAX_GRID_SIZE:
+            raise ConfigError(f"grid_size must be at most {MAX_GRID_SIZE}, got {self.grid_size}")
+        if self.grid_size * self.micro_factor > MAX_LATTICE_POINTS:
+            raise ConfigError(
+                f"grid_size * micro_factor must be at most {MAX_LATTICE_POINTS}, "
+                f"got {self.grid_size} * {self.micro_factor}"
+            )
+        if not 1 <= self.n_paths <= MAX_N_PATHS:
+            raise ConfigError(f"n_paths must lie in [1, {MAX_N_PATHS}], got {self.n_paths}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
         if self.c_epsilon <= 0.0:
@@ -195,8 +214,8 @@ class ExperimentConfig:
         unknown_tests = set(self.tests) - set(_TEST_NAMES)
         if unknown_tests:
             raise ConfigError(f"unknown tests {sorted(unknown_tests)}; valid: {_TEST_NAMES}")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
 
     def spec(self) -> ProcessSpec:
         try:
@@ -624,6 +643,8 @@ def _iter_chunks(
     config: ExperimentConfig, workers: int
 ) -> Iterable[tuple[dict[str, np.ndarray], list[tuple[int, str]]]]:
     ranges = _chunk_ranges(config.n_paths, workers)
+    # a pool starts all its processes at once: never more than the chunks
+    workers = min(workers, len(ranges))
     if workers <= 1:
         for lo, hi in ranges:
             yield _compute_chunk(config, lo, hi)
@@ -651,7 +672,8 @@ def run_paths(config: ExperimentConfig, workers: int | None = None) -> EnsembleS
     ensemble and excluded from every analysis; beyond that the run aborts.
     """
     n = config.n_paths
-    workers = config.workers if workers is None else workers
+    # an override is bounded as the config field is
+    workers = config.workers if workers is None else config.replace(workers=workers).workers
     max_failures = max(1, int(MAX_FAILURE_FRACTION * n))
     chunks: list[dict[str, np.ndarray]] = []
     failures: list[tuple[int, str]] = []

@@ -302,6 +302,31 @@ def test_bm_dispatch_matches_fbm_at_half():
     np.testing.assert_array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("n", [2, 64, 4096, 2**16])
+def test_white_noise_embedding_is_flat(monkeypatch, n):
+    """At H = 1/2 every eigenvalue of the embedding is exactly 1: the fact
+    that lets the sampler use n normals as the increments."""
+    monkeypatch.setattr(generators, "_EIG_CACHE", {})
+    m, sqrt_lam = _fgn_sqrt_eig(0.5, n)
+    assert len(sqrt_lam) == m // 2 + 1
+    assert np.all(sqrt_lam == 1.0)
+
+
+@pytest.mark.parametrize("family", [Family.FBM, Family.BM])
+@pytest.mark.parametrize("n, horizon", [(1, 1.0), (64, 1.0), (1000, 8.0), (2**12, 64.0)])
+def test_half_draws_the_increments_directly(monkeypatch, family, n, horizon):
+    monkeypatch.setattr(generators, "_EIG_CACHE", {})
+    monkeypatch.setattr(generators, "_BUFFERS", threading.local())
+    spec = _spec(family=family, hurst=0.5, horizon=horizon, n=n)
+    for seed in (0, 7, 2**63 + 5):
+        steps = np.random.default_rng(seed).standard_normal(n) * spec.delta**0.5
+        expected = np.concatenate([[0.0], np.cumsum(steps)])
+        np.testing.assert_array_equal(sample_fbm(spec, seed).values, expected)
+    # no embedding is built and no synthesis buffer is made
+    assert generators._EIG_CACHE == {}
+    assert not hasattr(generators._BUFFERS, "slot")
+
+
 def test_sample_fbm_rejects_wrong_family():
     with pytest.raises(ValueError):
         sample_fbm(_spec(family=Family.ROSENBLATT, hurst=0.75), 1)

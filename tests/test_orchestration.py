@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from zeroset import ConfigError, ExperimentConfig, Family, load_config, run_path
 from zeroset.cli import main
 from zeroset.orchestration import (
     LOGLOG_FACTORS,
+    MAX_GRID_SIZE,
+    MAX_LATTICE_POINTS,
+    MAX_N_PATHS,
+    MAX_WORKERS,
     SCHEMA_VERSION,
     dump_paths,
     report,
@@ -153,6 +158,84 @@ def test_config_value_validation():
     with pytest.raises(ConfigError):
         _config(out_dir=["a"])
     assert _config(n_paths=24.0).n_paths == 24
+
+
+def test_config_bounds_grid_size():
+    assert _config(process={"family": "fbm", "hurst": 0.5, "horizon": 8.0,
+                            "grid_size": MAX_GRID_SIZE}).grid_size == MAX_GRID_SIZE
+    for bad in (MAX_GRID_SIZE + 1, 10**400):
+        with pytest.raises(ConfigError, match="grid_size must be at most"):
+            _config(process={"family": "fbm", "hurst": 0.5, "horizon": 8.0, "grid_size": bad})
+
+
+def test_config_bounds_the_micro_lattice():
+    def rosenblatt(grid_size, micro_factor):
+        return _config(process={"family": "rosenblatt", "hurst": 0.75, "horizon": 8.0,
+                                "grid_size": grid_size, "micro_factor": micro_factor})
+
+    assert rosenblatt(2**20, 64).micro_factor == 64
+    assert rosenblatt(1, MAX_LATTICE_POINTS).micro_factor == MAX_LATTICE_POINTS
+    for grid_size, micro_factor in ((2**20, 65), (2, MAX_LATTICE_POINTS), (1, 10**400)):
+        with pytest.raises(ConfigError, match="grid_size \\* micro_factor"):
+            rosenblatt(grid_size, micro_factor)
+    # every family: micro_factor is a field of every config
+    with pytest.raises(ConfigError, match="grid_size \\* micro_factor"):
+        _config(process={"family": "bm", "hurst": 0.5, "horizon": 8.0,
+                         "grid_size": 1024, "micro_factor": 10**400})
+
+
+def test_config_bounds_n_paths():
+    assert _config(n_paths=MAX_N_PATHS).n_paths == MAX_N_PATHS
+    for bad in (MAX_N_PATHS + 1, 10**30):
+        with pytest.raises(ConfigError, match="n_paths must lie in"):
+            _config(n_paths=bad)
+
+
+def test_config_bounds_workers():
+    assert _config(workers=MAX_WORKERS).workers == MAX_WORKERS
+    for bad in (MAX_WORKERS + 1, 1_000_000):
+        with pytest.raises(ConfigError, match="workers must lie in"):
+            _config(workers=bad)
+    # an override is bounded alike, before any process starts
+    with pytest.raises(ConfigError, match="workers must lie in"):
+        run_paths(_config(n_paths=4), workers=1_000_000)
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that records its size and runs each
+    chunk in the calling process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("n_paths, workers, pool_size", [
+    (1, 2, None),      # one chunk runs in the calling process
+    (4, 64, 4),        # 4 chunks of one path: 4 processes, not 64
+    (600, 2, 2),       # 3 chunks of at most 256 paths for 2 processes
+])
+def test_pool_is_capped_at_the_chunk_count(monkeypatch, n_paths, workers, pool_size):
+    import zeroset.orchestration as orch
+
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(orch, "ProcessPoolExecutor", _InlinePool)
+    cfg = _config(n_paths=n_paths, workers=workers,
+                  process={"family": "bm", "hurst": 0.5, "horizon": 8.0, "grid_size": 64})
+    summary = run_paths(cfg)
+    assert summary.n_ok == n_paths
+    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
+    serial = run_paths(cfg, workers=1)
+    np.testing.assert_array_equal(summary.persist, serial.persist)
 
 
 def test_config_round_trip_and_hash():
@@ -416,11 +499,11 @@ def test_run_experiment_outputs(tmp_path):
 # lengths, so that no BLAS or libm rounding enters them; a change to any
 # per-path kernel that moves one output bit shows here
 PINNED_CHECKSUMS = {
-    "curve.csv": "79ddf2263b8a2c22c80055fc508542b75a75a79112e1adde3d94bc9e09f0acf0",
-    "maxcurve.csv": "2a550cba37141002123ee7872b973f9a354467e8fd6da00bc8378ef8a4afa9e1",
-    "empp.csv": "3f1477204211ba504c708846b0d2ef67a9aa067926619a1a48843aa74c446bd8",
-    "tailfit.json": "a7f1519ad317b42bba52699433ac7f8dd04381491d96b4a1b44c15eaa4d6f387",
-    "invariance.json": "c70276740737e206062340463a49f98e09e4e011cf6c1677d53d3bbcc6938f82",
+    "curve.csv": "52ac7093a12924d4a3de92e64ba5616da99193d247d6a8c568f6c35ee667d953",
+    "maxcurve.csv": "a0b0f2dddec8fd8988c4ef74617d715fb0916417398bdcfc910bb25a6aeaa98a",
+    "empp.csv": "61bfeed984847e7cfb6be1f015b20e70a8422065e7f9fa7569b828fdc8c70630",
+    "tailfit.json": "4bb1e7024e02c98f103d439672448452fc6934d71a0555d156c57c85d4d68a3f",
+    "invariance.json": "d12e07b7542bdfe5ef5fc0b0ae196ef2f9459fe173f5c9797d2660b9832907e6",
 }
 
 
@@ -614,7 +697,12 @@ def test_report_tolerates_missing_manifest(tmp_path):
 
 
 def test_one_path_per_half_records_invariance_errors(tmp_path):
-    run_experiment(_config(n_paths=2, master_seed=3), out_dir=str(tmp_path / "run"))
+    cfg = _config(n_paths=2, master_seed=2)
+    # premise: both paths enter every test, so each test is refused for
+    # having one value per sample, not for missing mass
+    summary = run_paths(cfg)
+    assert summary.ok.all() and summary.stat_valid.all() and summary.covers_window.all()
+    run_experiment(cfg, out_dir=str(tmp_path / "run"))
     inv = json.loads((tmp_path / "run" / "invariance.json").read_text())
     assert inv["battery"] == []
     assert sorted(inv["errors"]) == ["bi_scale", "increment_stationarity", "self_similarity"]

@@ -32,6 +32,7 @@ from zeroset import (
 )
 from zeroset.errors import ConfigError
 from zeroset.invariance import self_similarity_masses
+from zeroset.orchestration import MAX_GRID_SIZE, MAX_LATTICE_POINTS, MAX_N_PATHS, MAX_WORKERS
 from zeroset.pointprocess import (
     MarkedPointSet,
     count_heavy_subintervals,
@@ -450,9 +451,9 @@ _BAD_FIELDS = {
     ("process", "family"): ("FBM", "gauss", "", None, 1, True, math.nan, ["fbm"]),
     ("process", "hurst"): _bad_numbers(0.0, 1.0, -0.5, 1.5),
     ("process", "horizon"): _bad_numbers(0.0, -1.0),
-    ("process", "grid_size"): _bad_integers(0, -1),
-    ("process", "micro_factor"): _bad_integers(0, -1),
-    ("n_paths",): _bad_integers(0, -1),
+    ("process", "grid_size"): _bad_integers(0, -1, MAX_GRID_SIZE + 1, 10**400),
+    ("process", "micro_factor"): _bad_integers(0, -1, MAX_LATTICE_POINTS + 1, 10**400),
+    ("n_paths",): _bad_integers(0, -1, MAX_N_PATHS + 1, 10**30),
     ("master_seed",): _bad_integers(-1, 2**64, 10**400),
     ("epsilon",): ("x", [], None, 1.0, True),
     ("epsilon", "c"): _bad_numbers(0.0, -0.5),
@@ -477,7 +478,7 @@ _BAD_FIELDS = {
     + ([4], [4, 4, 4], []),
     ("tests",): ("self_similarity", 5, True, math.nan, None, {})
     + (["nope"], [1], [True], [None], [["bi_scale"]]),
-    ("workers",): _bad_integers(0, -1),
+    ("workers",): _bad_integers(0, -1, MAX_WORKERS + 1, 1_000_000),
     ("out_dir",): (5, 1.5, True, math.nan, [], {}, ["run"]),
 }
 
