@@ -6,7 +6,8 @@ method="asymp")`` computes in scipy 1.17.1: the statistic block of
 ``kstwo.sf`` and the survival branches of ``scipy.stats._ksstats._kolmogn``.
 Statistic and p-value equal scipy's bit for bit; ``tests/test_kolmogorov.py``
 checks that against scipy.stats, which stays a test-only dependency.  The
-port exists so that importing the package does not load ``scipy.stats``.
+port exists so that importing the package does not load ``scipy.stats``;
+``scipy.special`` is imported on first use, by the tail branches only.
 
 The branch choice follows Simard & L'Ecuyer (2011), J. Stat. Softw. 39(11):
 the Ruben-Gambino closed forms at the edges, the Durbin matrix power in the
@@ -51,7 +52,6 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import smirnov
 
 __all__ = ["ks_2samp_asymp", "kstwo_sf"]
 
@@ -118,6 +118,17 @@ def kstwo_sf(d, n) -> np.float64:
     if x >= 1.0:
         return np.float64(0.0)
     return np.float64(_kolmogn_sf(int(n), x))
+
+
+def smirnov(n, x):
+    """One-sided survival P(D_n^+ >= x), loaded from scipy.special on first use.
+
+    Only the tail branches call it, so a process that never reaches one
+    never imports scipy.
+    """
+    from scipy.special import smirnov as _smirnov
+
+    return _smirnov(n, x)
 
 
 def _sf_from_cdf(cdfprob):

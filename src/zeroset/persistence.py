@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import FitRangeError
 from .generators import SamplePath
@@ -194,6 +193,9 @@ def bm_exact_persistence(T: float, a: float = 1.0) -> float:
         raise ValueError(f"T must be positive, got {T}")
     if not a > 0.0:
         raise ValueError(f"a must be positive, got {a}")
+    # scipy.special on first use: only the BM oracle of ``report`` needs it
+    from scipy.special import erf
+
     return float(erf(a / np.sqrt(2.0 * T)))
 
 

@@ -4,7 +4,10 @@
 computes so that importing the package does not load scipy.stats.  The port
 must agree bit for bit, so every comparison here is exact.  The explicit
 cases reach each branch of the survival function; spies on the branch
-functions confirm which one ran.
+functions confirm which one ran.  Only the tail branches call
+``scipy.special.smirnov``, which the package imports on first use: fresh
+interpreters check that importing the package loads no scipy module and
+that the other branches never load one.
 """
 
 import os
@@ -123,8 +126,42 @@ def test_matches_scipy_on_generated_samples(n1, n2, shift, ties, seed):
     _assert_same_as_scipy(a, b)
 
 
-def test_import_loads_no_scipy_stats():
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(zeroset.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, zeroset; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_loads_no_scipy_stats():
+    _run_fresh("import sys, zeroset; assert 'scipy.stats' not in sys.modules")
+
+
+def test_import_loads_no_scipy():
+    _run_fresh(
+        "import sys, zeroset, zeroset.cli\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_only_a_tail_branch_loads_scipy_special():
+    # every branch but smirnov's runs on numpy alone; the first tail input
+    # imports scipy.special, and its p-value is still scipy's to the bit
+    plain = [(n, d) for n, d, branch in _BRANCH_CASES if branch != "smirnov"]
+    tails = [(n, d) for n, d, branch in _BRANCH_CASES if branch == "smirnov"]
+    assert (1000, 0.06) in tails and (50, 0.6) in tails
+    _run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "from zeroset._kolmogorov import kstwo_sf\n"
+        f"for n, d in {plain!r}:\n"
+        "    kstwo_sf(np.float64(d), np.float64(n))\n"
+        "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+        f"got = [kstwo_sf(np.float64(d), np.float64(n)) for n, d in {tails!r}]\n"
+        "assert 'scipy.special' in sys.modules and 'scipy.stats' not in sys.modules\n"
+        "from scipy.stats import kstwo\n"
+        f"want = [kstwo.sf(np.float64(d), np.float64(n)) for n, d in {tails!r}]\n"
+        "bits = lambda x: int(np.float64(x).view(np.uint64))\n"
+        "assert [bits(x) for x in got] == [bits(x) for x in want], (got, want)\n"
+    )

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import zeroset
 from zeroset import (
     Family,
     PersistenceCurve,
@@ -31,6 +36,28 @@ def test_bm_exact_persistence_frozen_values():
     assert bm_exact_persistence(16.0) == pytest.approx(0.19741265136584743, rel=1e-12)
     assert bm_exact_persistence(64.0) == pytest.approx(0.09947644966022577, rel=1e-12)
     assert bm_exact_persistence(1.0, a=2.0) == pytest.approx(0.9544997361036416, rel=1e-12)
+
+
+def test_bm_exact_persistence_is_scipy_erf_loaded_on_first_use():
+    # in a fresh interpreter: the package alone loads no scipy.special, and
+    # the oracle that loads it returns scipy's erf to the bit (math.erf
+    # differs from it in the last bit at T = 4 and T = 64)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zeroset.__file__)))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from zeroset import bm_exact_persistence\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "cases = [(1.0, 1.0), (4.0, 1.0), (16.0, 1.0), (64.0, 1.0), (1.0, 2.0)]\n"
+        "got = [bm_exact_persistence(T, a) for T, a in cases]\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "from scipy.special import erf\n"
+        "want = [float(erf(a / np.sqrt(2.0 * T))) for T, a in cases]\n"
+        "bits = lambda x: int(np.float64(x).view(np.uint64))\n"
+        "assert [bits(x) for x in got] == [bits(x) for x in want], (got, want)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_bm_exact_persistence_limits_and_validation():
