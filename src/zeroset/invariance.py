@@ -27,7 +27,7 @@ import numpy as np
 
 from ._kolmogorov import ks_2samp_asymp
 from .errors import InsufficientMassError
-from .localtime import JumpFunction, LocalTimeProfile
+from .localtime import JumpBlock, JumpFunction, LocalTimeProfile
 from .pointprocess import MarkedPointSet, rescale_empp
 
 __all__ = [
@@ -114,23 +114,28 @@ def self_similarity_masses(profile: LocalTimeProfile, r: float) -> tuple[float, 
     return float(profile.mass_at(int(round(r * profile.grid_size)))), profile.total_mass
 
 
-def stationarity_increments(
-    L: JumpFunction, x0: float, h: float
-) -> tuple[float, float] | None:
+def stationarity_increments(L: JumpFunction | Sequence[JumpFunction], x0: float, h: float):
     """(L(x0 + h) - L(x0), L(x0 + 2h) - L(x0 + h)) for one path.
 
     None when the path's mass cap stops below the top level, so that it
-    cannot supply both increments.
+    cannot supply both increments.  A sequence of jump functions gives a
+    (k, 2) array of the pairs, with a row of NaN for each path that cannot
+    supply them.
     """
     if not x0 >= 0.0:
         raise ValueError(f"x0 must be non-negative, got {x0}")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
     top = x0 + 2.0 * h
-    if L.total_mass_cap < top:
-        return None
-    low, mid, high = L.evaluate(np.array([x0, x0 + h, top])).tolist()
-    return mid - low, high - mid
+    block = JumpBlock(L)
+    levels = np.array([x0, x0 + h, top])
+    path = np.flatnonzero(block.caps >= top)
+    values = block.values(path[:, None], levels, block.ranks(levels)[path])
+    pairs = np.full((len(block), 2), np.nan)
+    pairs[path] = values[:, 1:] - values[:, :-1]
+    if block.single:
+        return tuple(pairs[0].tolist()) if len(path) else None
+    return pairs
 
 
 def stationarity_test_from_values(
@@ -190,11 +195,8 @@ def stationarity_test(
     ``stationarity_increments``) are excluded before the split; more than
     MAX_EXCLUDED_FRACTION exclusions abort the test as unanswerable.
     """
-    pairs = [stationarity_increments(L, x0, h) for L in L_ensemble]
-    valid = np.array([p is not None for p in pairs], dtype=bool)
-    incr = np.array([np.nan if p is None else p[0] for p in pairs])
-    ref = np.array([np.nan if p is None else p[1] for p in pairs])
-    return stationarity_test_from_values(incr, ref, valid)
+    pairs = stationarity_increments(L_ensemble, x0, h)
+    return stationarity_test_from_values(pairs[:, 0], pairs[:, 1], ~np.isnan(pairs[:, 0]))
 
 
 def self_similarity_test(

@@ -30,6 +30,7 @@ from .generators import SamplePath
 __all__ = [
     "LocalTimeProfile",
     "JumpFunction",
+    "JumpBlock",
     "default_epsilon",
     "estimate_local_time",
     "inverse_time",
@@ -181,6 +182,101 @@ class JumpFunction:
         x = np.asarray(x, dtype=np.float64)
         out = self.drift * x + self._cum[self.locations.searchsorted(x, side="right")]
         return float(out) if out.ndim == 0 else out
+
+
+class JumpBlock:
+    """One jump function or a sequence of them, with their jumps concatenated.
+
+    The block form of a per-path function takes a sequence of jump functions
+    and returns one row per function; a single function is a block of one,
+    and ``result`` turns its one row back into the single form.  Jump ``i``
+    of the concatenation belongs to function ``owner[i]``, and function p
+    holds the jumps ``offsets[p]:offsets[p + 1]``.  Per-path counts are
+    ``np.bincount`` over ``owner`` of a mask of jumps.
+    """
+
+    def __init__(self, L) -> None:
+        self.single = isinstance(L, JumpFunction)
+        self.functions = [L] if self.single else list(L)
+        if not all(isinstance(f, JumpFunction) for f in self.functions):
+            raise TypeError("expected a JumpFunction or a sequence of them")
+
+    # each array is built on first use: a count reads only some of them
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        offsets = np.zeros(len(self) + 1, dtype=np.int64)
+        np.cumsum([len(f.locations) for f in self.functions], out=offsets[1:])
+        return offsets
+
+    @functools.cached_property
+    def owner(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    @functools.cached_property
+    def locations(self) -> np.ndarray:
+        return self._concatenate("locations")
+
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        return self._concatenate("sizes")
+
+    @functools.cached_property
+    def drifts(self) -> np.ndarray:
+        return np.array([f.drift for f in self.functions], dtype=np.float64)
+
+    @functools.cached_property
+    def caps(self) -> np.ndarray:
+        return np.array([f.total_mass_cap for f in self.functions], dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.functions)
+
+    def _concatenate(self, attr: str) -> np.ndarray:
+        if len(self.functions) == 1:
+            return getattr(self.functions[0], attr)
+        return np.concatenate([getattr(f, attr) for f in self.functions] or [np.empty(0)])
+
+    def per_path(self, mask) -> np.ndarray:
+        """Number of jumps of each function that ``mask`` selects."""
+        return np.bincount(self.owner[mask], minlength=len(self))
+
+    def ranks(self, x) -> np.ndarray:
+        """(k, q) numbers of each function's jumps at or below each level x."""
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        return np.stack([self.per_path(self.locations <= level) for level in x], axis=1)
+
+    def values(self, path, x, rank) -> np.ndarray:
+        """L(x) of function ``path``, given ``rank`` of its jumps at or below x.
+
+        The value is ``drift * x + _cum[rank]`` of that function, the sum
+        ``JumpFunction.evaluate`` forms, so the two agree bit for bit.
+        """
+        # function p's _cum has offsets[p + 1] - offsets[p] + 1 entries
+        return self.drifts[path] * x + self._cum[self.offsets[path] + path + rank]
+
+    @functools.cached_property
+    def _cum(self) -> np.ndarray:
+        return self._concatenate("_cum")
+
+    @property
+    def jump_mass(self) -> np.ndarray:
+        """Each function's total jump mass, the last entry of its ``_cum``."""
+        return self._cum[self.offsets[1:] + np.arange(len(self))]
+
+    def require_caps(self, level: float, what: str) -> None:
+        """Refuse the block unless every function is defined up to ``level``."""
+        short = np.flatnonzero(~(self.caps >= level))
+        if len(short):
+            p = int(short[0])
+            where = "L" if self.single else f"L[{p}]"
+            raise ValueError(
+                f"{where} is only defined up to {self.caps[p]}; {what} needs {level}"
+            )
+
+    def result(self, rows):
+        """``rows`` as the block returns them, or the one row of a single function."""
+        return rows[0] if self.single else rows
 
 
 def default_epsilon(delta: float, hurst: float, c_epsilon: float = DEFAULT_C_EPSILON) -> float:

@@ -7,12 +7,18 @@ the master seed, every per-path computation is a pure function of
 are bit-identical for any worker count.  Nothing in the compute path reads
 the wall clock or OS entropy; timings appear only as manifest metadata.
 
-Per path the worker samples the process, estimates the local-time profile,
-inverts it, and reduces everything downstream analyses need to one row
-(event indicators, masses, diagnostics, increments of the inverse,
-exceedance counts) plus its pieces of the pooled jump marks.  Every value
-comes from the same per-path library function that the object-level API
-uses, so each quantity has one implementation.  The columns are declared
+Per path the worker samples the process, takes the running-maximum
+events, estimates the local-time profile, reads the profile columns
+(persistence events, masses, atom and support diagnostics) and inverts
+the profile to a jump function.  It then reads every column that comes
+from the jump functions (caps, drifts, jump counts, validity flags,
+increments of the inverse, exceedance, bi-scale and heavy-subinterval
+counts, and the pooled jump marks) with one call per quantity on a block
+of paths: the whole chunk, or as many paths as hold BLOCK_JUMPS jumps.  If
+such a call raises, the block runs again one path at a time, so that only
+the offending path fails.  Every value comes from the same library function
+that the object-level API uses, whose single form is a block of one, so
+each quantity has one implementation.  The columns are declared
 once, as the fields of ``EnsembleSummary`` with their dtype, per-path
 width and fill value; each chunk allocates and fills them by name, and
 the chunks are concatenated in index order.  Stage writers turn
@@ -58,6 +64,8 @@ from .invariance import (
 )
 from .localtime import (
     DEFAULT_C_EPSILON,
+    JumpBlock,
+    JumpFunction,
     atom_diagnostic,
     estimate_local_time,
     invert_profile,
@@ -97,6 +105,12 @@ TOOLKIT_VERSION = "0.1.0"
 
 MAX_FAILURE_FRACTION = 0.01
 CHUNK_TARGET = 256
+# jumps a chunk holds before it computes their columns: a chunk of BM paths
+# at 2^12 (about 25 jumps each) is one block, while fBM paths at 2^16 (about
+# 630 each) come about 13 to a block.  Held as one block, a chunk of those
+# fBM paths (about 160k jumps) raised a round's peak RSS by about 3.5 MiB,
+# and blocks of 2^14 jumps by about 1.2 MiB.
+BLOCK_JUMPS = 2**13
 
 # Ceilings of the config's size fields, far above any run the code is sized
 # for: the acceptance gate draws at most 2^16 steps, 2^18 micro-points and
@@ -525,10 +539,11 @@ class EnsembleSummary:
 
 
 _COLUMNS = tuple(f for f in fields(EnsembleSummary) if "dtype" in f.metadata)
+_COLUMN_META = {f.name: f.metadata for f in _COLUMNS}
 
 
-def _compute_path(config: ExperimentConfig, index: int) -> dict:
-    """One path's values, keyed by the columns they fill."""
+def _compute_path(config: ExperimentConfig, index: int) -> tuple[dict, JumpFunction]:
+    """One path's profile values, keyed by their columns, and its jump function."""
     spec = config.spec()
     seed = derive_path_seed(config.master_seed, index)
     path = sample(spec, seed)
@@ -546,86 +561,156 @@ def _compute_path(config: ExperimentConfig, index: int) -> dict:
         atoms=atom_diagnostic(profile),
         supports=support_diagnostic(profile),
     )
+    return values, invert_profile(profile)
 
-    L = invert_profile(profile)
-    del profile
-    cap = L.total_mass_cap
-    increments = stationarity_increments(L, config.test_x0, config.test_h)
-    xw = config.x_window
-    stat_valid, covers, heavy_valid = increments is not None, cap >= xw, cap >= 1.0
+
+def _new_column(config: ExperimentConfig, name: str, n_paths: int) -> np.ndarray:
+    """Column ``name`` for n_paths rows, each holding the column's fill value."""
+    meta = _COLUMN_META[name]
+    if meta.get("pooled"):
+        return np.empty(0, dtype=meta["dtype"])
+    width = meta["width"]
+    if isinstance(width, str):
+        width = len(getattr(config, width))
+    shape = (n_paths,) if width is None else (n_paths, width)
+    return np.full(shape, meta["fill"], dtype=meta["dtype"])
+
+
+def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -> dict:
+    """The columns that come from the jump functions of a block of paths.
+
+    ``Ls[p]`` is the jump function of path ``indices[p]``.  Each count is one
+    call of its library function on the whole block, which returns one row
+    per path; a row that the path's mass cap does not reach keeps its fill.
+    """
+    block = JumpBlock(Ls)
+    caps = block.caps
+    columns = dict(
+        caps=caps,
+        drifts=block.drifts,
+        n_jumps=np.diff(block.offsets),
+        zero_mass=caps == 0.0,
+    )
+    pairs = stationarity_increments(Ls, config.test_x0, config.test_h)
+    columns.update(L_incr=pairs[:, 0], L_ref=pairs[:, 1], stat_valid=~np.isnan(pairs[:, 0]))
+
     # the jump at level 0, when present, is the censored leading stretch;
     # it is kept out of the mark pool and the dump like any other censoring
-    interior = slice(L.locations.searchsorted(0.0, side="right"), None)
-    keep = L.sizes[interior] >= config.m0_resolved / 2.0
-    values.update(
-        caps=cap,
-        drifts=L.drift,
-        n_jumps=L.n_jumps,
-        zero_mass=cap == 0.0,
-        stat_valid=stat_valid,
-        covers_window=covers,
-        heavy_valid=heavy_valid,
-        marks_pool=L.sizes[interior],
-        dump_index=np.full(np.count_nonzero(keep), index, dtype=np.int64),
-        dump_locs=L.locations[interior][keep],
-        dump_sizes=L.sizes[interior][keep],
+    locs, sizes = block.locations, block.sizes
+    interior = locs > 0.0
+    keep = interior & (sizes >= config.m0_resolved / 2.0)
+    columns.update(
+        marks_pool=sizes[interior],
+        dump_index=np.asarray(indices, dtype=np.int64)[block.owner[keep]],
+        dump_locs=locs[keep],
+        dump_sizes=sizes[keep],
     )
-    if stat_valid:
-        values["L_incr"], values["L_ref"] = increments
 
-    r_ratio = config.ratio_r_resolved
-    if covers:
-        counts = window_exceedance_counts(
-            L, xw, (r_ratio, 4.0 * r_ratio) + config.loglog_thresholds
-        )
-        points = jumps_to_empp(L, (0.0, xw))
-        m0, r_t, beta = config.m0_resolved, config.test_r, config.beta
-        values.update(
-            ratio_counts=counts[:2],
-            loglog_counts=counts[2:],
-            biscale_raw=points.count(xw, m0),
-            biscale_scaled=rescale_empp(points, r_t, beta).count(xw, m0),
-            biscale_scaled_alt=rescale_empp(points, r_t, beta / 2.0).count(xw, m0),
-        )
+    xw, r_ratio = config.x_window, config.ratio_r_resolved
+    covers, heavy_valid = caps >= xw, caps >= 1.0
+    columns.update(covers_window=covers, heavy_valid=heavy_valid)
+    covering = [L for L, c in zip(Ls, covers) if c]
+    counts = window_exceedance_counts(
+        covering, xw, (r_ratio, 4.0 * r_ratio) + config.loglog_thresholds
+    )
+    points = jumps_to_empp(covering, (0.0, xw))
+    m0, r_t, beta = config.m0_resolved, config.test_r, config.beta
+    for name, values in dict(
+        ratio_counts=counts[:, :2],
+        loglog_counts=counts[:, 2:],
+        biscale_raw=points.count(xw, m0),
+        biscale_scaled=rescale_empp(points, r_t, beta).count(xw, m0),
+        biscale_scaled_alt=rescale_empp(points, r_t, beta / 2.0).count(xw, m0),
+    ).items():
+        columns[name] = _scatter(config, name, covers, values)
+    heavy = count_heavy_subintervals(
+        [L for L, h in zip(Ls, heavy_valid) if h], config.heavy_subdivisions, r_ratio
+    )
+    columns["heavy_counts"] = _scatter(config, "heavy_counts", heavy_valid, heavy)
+    return columns
 
-    if heavy_valid:
-        values["heavy_counts"] = count_heavy_subintervals(
-            L, config.heavy_subdivisions, r_ratio
-        )
-    return values
+
+def _scatter(config: ExperimentConfig, name: str, rows: np.ndarray, values) -> np.ndarray:
+    """Column ``name`` over ``len(rows)`` paths: ``values`` where ``rows``, the fill elsewhere."""
+    column = _new_column(config, name, len(rows))
+    column[rows] = values
+    return column
+
+
+def _compute_blocks(
+    config: ExperimentConfig, paths: list, failures: list[tuple[int, str]]
+) -> tuple[list[tuple[int, dict]], list[dict]]:
+    """The jump-function columns of ``paths``, a list of (index, values, L).
+
+    One ``_compute_block`` call covers all of them; when it raises, each
+    path runs alone, so that only the offending path is added to
+    ``failures``.  Returns the (index, values) of the paths that passed and
+    their blocks of columns.
+    """
+    try:
+        blocks = [_compute_block(config, [i for i, _, _ in paths], [L for _, _, L in paths])]
+    except Exception:  # noqa: BLE001 - isolated below, path by path
+        blocks, kept = [], []
+        for index, values, L in paths:
+            try:
+                blocks.append(_compute_block(config, [index], [L]))
+            except Exception as exc:  # noqa: BLE001 - crash isolation by contract
+                failures.append((index, f"{type(exc).__name__}: {exc}"))
+                continue
+            kept.append((index, values, L))
+        paths = kept
+    return [(index, values) for index, values, _ in paths], blocks
+
+
+def _path_blocks(
+    config: ExperimentConfig, lo: int, hi: int, failures: list[tuple[int, str]]
+) -> Iterable[list]:
+    """Paths [lo, hi) as lists of (index, values, L), one per block.
+
+    Each path is sampled, profiled and inverted on its own; a path that
+    raises is added to ``failures``.  A block ends once its paths hold
+    BLOCK_JUMPS jumps, and the last block ends the chunk.
+    """
+    held, held_jumps = [], 0
+    for index in range(lo, hi):
+        try:
+            values, L = _compute_path(config, index)
+        except Exception as exc:  # noqa: BLE001 - crash isolation by contract
+            failures.append((index, f"{type(exc).__name__}: {exc}"))
+            continue
+        held.append((index, values, L))
+        held_jumps += L.n_jumps
+        if held_jumps >= BLOCK_JUMPS:
+            yield held
+            held, held_jumps = [], 0
+    yield held
 
 
 def _compute_chunk(
     config: ExperimentConfig, lo: int, hi: int
 ) -> tuple[dict[str, np.ndarray], list[tuple[int, str]]]:
     """Columns for path indices [lo, hi); failures isolated per path."""
-    rows: dict[str, np.ndarray] = {}
-    pieces: dict[str, list[np.ndarray]] = {}
-    for f in _COLUMNS:
-        meta = f.metadata
-        if meta.get("pooled"):
-            pieces[f.name] = [np.empty(0, dtype=meta["dtype"])]
-            continue
-        width = meta["width"]
-        if isinstance(width, str):
-            width = len(getattr(config, width))
-        shape = (hi - lo,) if width is None else (hi - lo, width)
-        rows[f.name] = np.full(shape, meta["fill"], dtype=meta["dtype"])
-
     failures: list[tuple[int, str]] = []
-    for row, index in enumerate(range(lo, hi)):
-        try:
-            values = _compute_path(config, index)
-        except Exception as exc:  # noqa: BLE001 - crash isolation by contract
-            failures.append((index, f"{type(exc).__name__}: {exc}"))
-            continue
-        rows["ok"][row] = True
+    done: list[tuple[int, dict]] = []
+    blocks: list[dict] = []
+    for held in _path_blocks(config, lo, hi, failures):
+        kept, computed = _compute_blocks(config, held, failures)
+        done += kept
+        blocks += computed
+    failures.sort()
+
+    rows = {f.name: _new_column(config, f.name, hi - lo) for f in _COLUMNS}
+    ok = [index - lo for index, _ in done]
+    rows["ok"][ok] = True
+    for row, (_, values) in zip(ok, done):
         for name, value in values.items():
-            if name in pieces:
-                pieces[name].append(value)
-            else:
-                rows[name][row] = value
-    rows.update((name, np.concatenate(parts)) for name, parts in pieces.items())
+            rows[name][row] = value
+    for name in blocks[0] if blocks else ():
+        parts = [block[name] for block in blocks]
+        if _COLUMN_META[name].get("pooled"):
+            rows[name] = np.concatenate(parts)
+        else:
+            rows[name][ok] = np.concatenate(parts)
     return rows, failures
 
 

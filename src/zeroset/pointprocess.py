@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .localtime import JumpFunction
+from .localtime import JumpBlock, JumpFunction
 
 __all__ = [
     "FitMethod",
@@ -46,25 +46,43 @@ class FitMethod(enum.Enum):
 
 @dataclass
 class MarkedPointSet:
-    """Finite set of (level, mark) points inside a level window."""
+    """Finite set of (level, mark) points inside a level window.
+
+    With ``offsets`` the object is a block of point sets that share the
+    window: set p holds the points ``offsets[p]:offsets[p + 1]`` of the
+    concatenated arrays, and each set is checked as a single set would be.
+    A count then gives one value per set.
+    """
 
     locations: np.ndarray
     marks: np.ndarray
     window: tuple[float, float]
+    offsets: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.locations = locations = np.asarray(self.locations, dtype=np.float64)
         self.marks = marks = np.asarray(self.marks, dtype=np.float64)
         if locations.shape != marks.shape or locations.ndim != 1:
             raise ValueError("locations and marks must be 1-d arrays of equal length")
+        n = len(locations)
+        if self.offsets is not None:
+            self.offsets = offsets = np.asarray(self.offsets, dtype=np.int64)
+            if not (offsets.ndim == 1 and len(offsets) >= 1 and offsets[0] == 0
+                    and offsets[-1] == n and (offsets[1:] >= offsets[:-1]).all()):
+                raise ValueError("offsets must rise from 0 to the number of points")
         lo, hi = self.window
         # NaN fails every comparison, so these checks also refuse it
         if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"window must be finite with lo < hi, got {self.window}")
-        if len(locations):
-            if not (locations[1:] > locations[:-1]).all():
+        if n:
+            rising = locations[1:] > locations[:-1]
+            if self.offsets is not None:
+                # a set's first point need not lie above the last point of the set before
+                starts = self.offsets[1:-1]
+                rising[starts[(starts > 0) & (starts < n)] - 1] = True
+            if not rising.all():
                 raise ValueError("locations must be strictly increasing")
-            if not (lo <= locations[0] and locations[-1] <= hi):
+            if not (lo <= locations.min() and locations.max() <= hi):
                 raise ValueError("locations must lie inside the window")
             if not (marks.min() > 0.0 and marks.max() < np.inf):
                 raise ValueError("marks must be finite and positive")
@@ -73,14 +91,23 @@ class MarkedPointSet:
     def n_points(self) -> int:
         return len(self.locations)
 
-    def count(self, x_hi: float, mark_gt: float) -> int:
-        """Number of points with location in (0, x_hi] and mark > mark_gt."""
+    def count(self, x_hi: float, mark_gt: float):
+        """Number of points with location in (0, x_hi] and mark > mark_gt.
+
+        An int for a single set; for a block, an int64 array with one count
+        per set.
+        """
         if math.isnan(x_hi):
             raise ValueError("x_hi must not be NaN")
-        # the locations are strictly increasing, so (0, x_hi] is a slice
-        first = self.locations.searchsorted(0.0, side="right")
-        stop = self.locations.searchsorted(x_hi, side="right")
-        return int(np.count_nonzero(self.marks[first:stop] > mark_gt))
+        if math.isnan(mark_gt):
+            raise ValueError("mark_gt must not be NaN")
+        locations = self.locations
+        hit = (locations > 0.0) & (locations <= x_hi) & (self.marks > mark_gt)
+        if self.offsets is None:
+            return int(np.count_nonzero(hit))
+        offsets = self.offsets
+        owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        return np.bincount(owner[hit], minlength=len(offsets) - 1)
 
 
 @dataclass
@@ -100,27 +127,32 @@ class IntensityFit:
     method: FitMethod
 
 
-def jumps_to_empp(L: JumpFunction, window: tuple[float, float]) -> MarkedPointSet:
+def jumps_to_empp(
+    L: JumpFunction | Sequence[JumpFunction], window: tuple[float, float]
+) -> MarkedPointSet:
     """Marked point set of the jumps of L with levels inside the window.
 
     The window must sit inside [0, total_mass_cap]; both endpoints are
     inclusive.  The map keeps the exact float values, so composing with
-    ``empp_to_jumps`` is a bit-exact round trip.
+    ``empp_to_jumps`` is a bit-exact round trip.  A sequence of jump
+    functions, each of which must cover the window, gives a block of point
+    sets, one per function.
     """
     lo, hi = window
     if not 0.0 <= lo < hi:
         raise ValueError(f"window must satisfy 0 <= lo < hi, got {window}")
-    if hi > L.total_mass_cap:
-        raise ValueError(
-            f"window {window} exceeds total_mass_cap {L.total_mass_cap}"
-        )
-    # the locations are strictly increasing, so the jumps in [lo, hi] are a slice
-    first = L.locations.searchsorted(lo, side="left")
-    stop = L.locations.searchsorted(hi, side="right")
+    block = JumpBlock(L)
+    block.require_caps(hi, f"the window {window}")
+    locations = block.locations
+    inside = (locations >= lo) & (locations <= hi)
+    if block.single:
+        offsets = None
+    else:
+        offsets = np.zeros(len(block) + 1, dtype=np.int64)
+        np.cumsum(block.per_path(inside), out=offsets[1:])
     return MarkedPointSet(
-        locations=L.locations[first:stop].copy(),
-        marks=L.sizes[first:stop].copy(),
-        window=(lo, hi),
+        locations=locations[inside], marks=block.sizes[inside], window=(lo, hi),
+        offsets=offsets,
     )
 
 
@@ -129,8 +161,10 @@ def empp_to_jumps(points: MarkedPointSet) -> JumpFunction:
 
     Inverse of ``jumps_to_empp`` on the window: the reconstructed function
     reproduces the restricted jump data bit-exactly, with the window top as
-    its mass cap.
+    its mass cap.  A block of point sets has no single inverse.
     """
+    if points.offsets is not None:
+        raise ValueError("a block of point sets cannot be inverted as one jump function")
     locs = points.locations
     if len(locs) and np.any(np.diff(locs) == 0.0):
         raise ValueError("duplicate jump locations cannot be inverted")
@@ -146,7 +180,8 @@ def rescale_empp(points: MarkedPointSet, r: float, beta: float) -> MarkedPointSe
     """Bi-scale rescaling: (x, m) -> (x / r, m / r^beta), window / r.
 
     This is the point-level form of the scaling that maps the point process
-    of an H-self-similar path to itself in law when beta = 1 / (1 - H).
+    of an H-self-similar path to itself in law when beta = 1 / (1 - H).  A
+    block of point sets rescales set by set into a block.
     """
     if not r > 0.0:
         raise ValueError(f"scale r must be positive, got {r}")
@@ -155,6 +190,7 @@ def rescale_empp(points: MarkedPointSet, r: float, beta: float) -> MarkedPointSe
         locations=points.locations / r,
         marks=points.marks / mark_scale,
         window=(points.window[0] / r, points.window[1] / r),
+        offsets=points.offsets,
     )
 
 
@@ -166,7 +202,7 @@ def _level_grid(n: int) -> np.ndarray:
     return grid
 
 
-def count_heavy_subintervals(L: JumpFunction, n, r: float):
+def count_heavy_subintervals(L: JumpFunction | Sequence[JumpFunction], n, r: float):
     """Number of n-th level subintervals of (0, 1] with L-increment above r.
 
     Computes sum_{k=1..n} 1{L(k/n) - L((k-1)/n) > r}, with the levels k/n
@@ -175,12 +211,17 @@ def count_heavy_subintervals(L: JumpFunction, n, r: float):
     smaller than the smallest gap between jump locations, each subinterval
     holds at most one jump and the count stabilises at the number of jumps
     in (0, 1] with size above r (plus the negligible drift contribution).
+    A sequence of jump functions gives one row of those counts per
+    function.
 
     Only the subintervals that hold a jump in (0, 1] are evaluated: one
     without a jump rises by the drift alone, at most 2 drift / n plus four
     rounding units of L(1), and while that bound stays below r it cannot
-    count.  Where the bound reaches r, all n subintervals are evaluated.
-    Either way the count equals the one over the full level grid.
+    count.  The edges of such a subinterval need no search: below its left
+    edge lie the jumps before its first one, and up to its right edge the
+    jumps up to its last one.  Where the bound reaches r, all n subintervals
+    are evaluated.  Either way the count equals the one over the full level
+    grid.
     """
     ns = np.asarray(n)
     if ns.dtype.kind not in "iu" or ns.ndim > 1:
@@ -190,37 +231,38 @@ def count_heavy_subintervals(L: JumpFunction, n, r: float):
         raise ValueError(f"n must be at least 1, got {n}")
     if not r > 0.0:
         raise ValueError(f"threshold r must be positive, got {r}")
-    if L.total_mass_cap < 1.0:
-        raise ValueError(
-            f"L is only defined up to {L.total_mass_cap}; counting needs [0, 1]"
-        )
-    locs = L.locations
+    block = JumpBlock(L)
+    block.require_caps(1.0, "counting on [0, 1]")
+    locs = block.locations
     # a jump at level 0 belongs to L(0), not to a subinterval
-    inner = locs[locs.searchsorted(0.0, side="right"):locs.searchsorted(1.0, side="right")]
+    inner = np.flatnonzero((locs > 0.0) & (locs <= 1.0))
+    path = block.owner[inner]
+    # the rank of each inner jump among its own function's jumps
+    rank = inner - block.offsets[path]
     # drift + total jump mass bounds L(1) from above, hence also its rounding unit
-    rounding = 4.0 * np.spacing(L.drift + L._cum[-1])
-    lefts, rights = [], []
-    for m in subdivisions:
+    rounding = 4.0 * np.spacing(block.drifts + block.jump_mass)
+    counts = np.zeros((len(block), len(subdivisions)), dtype=np.int64)
+    for j, m in enumerate(subdivisions):
         grid = _level_grid(m)
-        if 2.0 * L.drift / m + rounding < r:
-            # subinterval k holds the jumps x with grid[k - 1] < x <= grid[k];
-            # it is taken once, at the last of its jumps
-            k = grid.searchsorted(inner, side="left")
-            last = np.ones(len(k), dtype=bool)
-            np.not_equal(k[1:], k[:-1], out=last[:-1])
-            k = k[last]
-            lefts.append(grid[k - 1])
-            rights.append(grid[k])
-        else:
-            lefts.append(grid[:-1])
-            rights.append(grid[1:])
-    values = L.evaluate(np.concatenate(lefts + rights))
-    heavy = values[len(values) // 2:] - values[:len(values) // 2] > r
-    counts, start = [], 0
-    for edges in lefts:
-        counts.append(np.count_nonzero(heavy[start:start + len(edges)]))
-        start += len(edges)
-    return int(counts[0]) if ns.ndim == 0 else np.array(counts, dtype=np.int64)
+        sparse = 2.0 * block.drifts / m + rounding < r
+        # subinterval k holds the jumps x with grid[k - 1] < x <= grid[k]; a
+        # run of jumps of one function in one subinterval is taken once
+        on = sparse[path]
+        p, k, i = path[on], grid.searchsorted(locs[inner[on]], side="left"), rank[on]
+        first = np.ones(len(k), dtype=bool)
+        first[1:] = (k[1:] != k[:-1]) | (p[1:] != p[:-1])
+        last = np.roll(first, -1)
+        p = p[first]
+        left = block.values(p, grid[k[first] - 1], i[first])
+        right = block.values(p, grid[k[last]], i[last] + 1)
+        counts[:, j] = np.bincount(p[right - left > r], minlength=len(block))
+        for q in np.flatnonzero(~sparse):
+            values = block.functions[q].evaluate(grid)
+            counts[q, j] = np.count_nonzero(values[1:] - values[:-1] > r)
+    if ns.ndim == 0:
+        counts = counts[:, 0]
+    counts = block.result(counts)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit:
@@ -306,16 +348,26 @@ def loglog_count_fit(mean_counts: np.ndarray, thresholds: np.ndarray) -> Intensi
 
 
 def window_exceedance_counts(
-    L: JumpFunction, x_window: float, thresholds: Sequence[float]
+    L: JumpFunction | Sequence[JumpFunction], x_window: float, thresholds: Sequence[float]
 ) -> np.ndarray:
-    """Counts of jumps with level in (0, x_window] and size above each threshold."""
+    """Counts of jumps with level in (0, x_window] and size above each threshold.
+
+    One jump function gives an int64 array shaped like ``thresholds``; a
+    sequence of them gives one such row per function.
+    """
     if math.isnan(x_window):
         raise ValueError("x_window must not be NaN")
-    first = L.locations.searchsorted(0.0, side="right")
-    stop = L.locations.searchsorted(x_window, side="right")
-    sizes = np.sort(L.sizes[first:stop])
     thr = np.asarray(thresholds, dtype=np.float64)
-    return (len(sizes) - sizes.searchsorted(thr, side="right")).astype(np.int64)
+    if np.isnan(thr).any():
+        raise ValueError(f"thresholds must not be NaN, got {thresholds}")
+    block = JumpBlock(L)
+    locs = block.locations
+    inside = (locs > 0.0) & (locs <= x_window)
+    sizes, path = block.sizes[inside], block.owner[inside]
+    counts = np.empty((len(block), thr.size), dtype=np.int64)
+    for j, t in enumerate(thr.reshape(-1)):
+        counts[:, j] = np.bincount(path[sizes > t], minlength=len(block))
+    return block.result(counts.reshape((len(block),) + thr.shape))
 
 
 def intensity_ratio_from_counts(low_total: int, high_total: int) -> float:
@@ -342,16 +394,8 @@ def intensity_ratio_test(
         raise ValueError(f"threshold r must be positive, got {r}")
     if not x_window > 0.0:
         raise ValueError(f"x_window must be positive, got {x_window}")
-    low = 0
-    high = 0
-    used = 0
-    for L in L_ensemble:
-        if L.total_mass_cap < x_window:
-            continue
-        used += 1
-        c_low, c_high = window_exceedance_counts(L, x_window, (r, 4.0 * r))
-        low += int(c_low)
-        high += int(c_high)
-    if used == 0:
+    covering = [L for L in L_ensemble if L.total_mass_cap >= x_window]
+    if not covering:
         raise InsufficientDataError("no path covers the requested level window")
-    return intensity_ratio_from_counts(low, high)
+    low, high = window_exceedance_counts(covering, x_window, (r, 4.0 * r)).sum(axis=0)
+    return intensity_ratio_from_counts(int(low), int(high))

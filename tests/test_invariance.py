@@ -146,6 +146,17 @@ def test_stationarity_increments_hand_case():
         stationarity_increments(L, x0=float("nan"), h=0.5)
 
 
+def test_stationarity_increments_block_form():
+    L = JumpFunction(locations=[0.25, 0.75, 1.25], sizes=[1.0, 2.0, 4.0],
+                     drift=0.5, total_mass_cap=1.5)
+    short = JumpFunction(locations=[0.25], sizes=[1.0], drift=0.0, total_mass_cap=1.0)
+    pairs = stationarity_increments([L, short, L], x0=0.5, h=0.5)
+    np.testing.assert_array_equal(pairs, [[2.25, 4.25], [np.nan, np.nan], [2.25, 4.25]])
+    assert stationarity_increments([], x0=0.5, h=0.5).shape == (0, 2)
+    with pytest.raises(ValueError):
+        stationarity_increments([L], x0=0.5, h=float("nan"))
+
+
 def test_stationarity_validation():
     rng = np.random.default_rng(8)
     ens = [_cp_L(rng) for _ in range(10)]

@@ -3,13 +3,22 @@ import importlib.util
 import json
 import os
 from concurrent.futures import Future
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from zeroset import ConfigError, ExperimentConfig, Family, load_config, run_paths
+from zeroset import (
+    ConfigError,
+    EnsembleSummary,
+    ExperimentConfig,
+    Family,
+    load_config,
+    run_paths,
+)
 from zeroset.cli import main
 from zeroset.orchestration import (
+    CHUNK_TARGET,
     LOGLOG_FACTORS,
     MAX_GRID_SIZE,
     MAX_LATTICE_POINTS,
@@ -344,11 +353,29 @@ def test_run_paths_columns_match_the_library(monkeypatch):
     supports) never reach a stage file, so the stage checksums cannot catch
     a mis-wired one.  Path 5 fails and must keep the fill values.
     """
-    from dataclasses import fields
+    _assert_columns_match_the_library(monkeypatch, process=None, n_paths=8)
 
+
+_BM = {"family": "bm", "hurst": 0.5, "horizon": 8.0, "grid_size": 1024}
+_ROSENBLATT = {"family": "rosenblatt", "hurst": 0.75, "horizon": 8.0, "grid_size": 1024}
+
+
+@pytest.mark.parametrize("process, n_paths", [
+    (_BM, 8),
+    (_ROSENBLATT, 8),
+    # two chunks at one worker
+    (_BM, CHUNK_TARGET + 8),
+], ids=["bm", "rosenblatt", "bm-two-chunks"])
+def test_run_paths_columns_match_the_library_per_family(monkeypatch, process, n_paths):
+    """As above for BM and Rosenblatt paths, and across two chunks: the
+    driver computes the jump-function columns once per block of paths, the
+    reference once per path."""
+    _assert_columns_match_the_library(monkeypatch, process, n_paths)
+
+
+def _assert_columns_match_the_library(monkeypatch, process, n_paths):
     import zeroset.orchestration as orch
     from zeroset import (
-        EnsembleSummary,
         atom_diagnostic,
         count_heavy_subintervals,
         derive_path_seed,
@@ -371,7 +398,7 @@ def test_run_paths_columns_match_the_library(monkeypatch):
         return real(spec, seed)
 
     monkeypatch.setattr(orch, "sample", fail_one)
-    cfg = _config(n_paths=8)
+    cfg = _config(n_paths=n_paths, **({} if process is None else {"process": process}))
     summary = run_paths(cfg, workers=1)
 
     nan = float("nan")
@@ -517,20 +544,116 @@ def test_run_experiment_checksums_reproduce(tmp_path):
         assert {name: manifest.outputs[name] for name in PINNED_CHECKSUMS} == PINNED_CHECKSUMS
 
 
-def test_every_traced_layer_name_is_bound_and_called_per_path():
+def test_every_traced_layer_name_is_bound_and_called(monkeypatch):
     """The benchmark's tracer wraps these names in the orchestration
-    namespace; a name that is missing or no longer called by
-    ``_compute_path`` would break or blank a traced layer."""
+    namespace, and ``MarkedPointSet.count`` on its class; a name that is
+    missing or that ``run_paths`` no longer calls would break or blank a
+    traced layer.  The tracer counts paths by the sampler's calls and jumps
+    by the inversion's, so the per-path layers run once per path."""
     import zeroset.orchestration as orch
+    from zeroset.pointprocess import MarkedPointSet
 
     source = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
     spec = importlib.util.spec_from_file_location("layertrace", source)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
     assert layertrace.LAYER_OF
+    calls = dict.fromkeys([*layertrace.LAYER_OF, "count"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
     for name in layertrace.LAYER_OF:
         assert callable(getattr(orch, name, None)), name
-        assert name in orch._compute_path.__code__.co_names, name
+        monkeypatch.setattr(orch, name, counted(name, getattr(orch, name)))
+    monkeypatch.setattr(MarkedPointSet, "count", counted("count", MarkedPointSet.count))
+    summary = run_paths(_config(n_paths=8), workers=1)
+    assert summary.n_ok == 8
+    assert all(calls.values()), calls
+    for name in ("sample", "estimate_local_time", "invert_profile"):
+        assert calls[name] == 8, name
+
+
+@pytest.mark.parametrize("block_jumps", [1, 40])
+def test_blocks_of_any_size_give_the_same_columns(monkeypatch, block_jumps):
+    """A chunk computes the jump-function columns whenever its paths reach
+    BLOCK_JUMPS jumps; the size of those blocks moves no bit."""
+    import zeroset.orchestration as orch
+
+    cfg = _config(n_paths=40, process=_BM)
+    whole = run_paths(cfg, workers=1)
+    assert np.sum(whole.n_jumps) < orch.BLOCK_JUMPS
+    monkeypatch.setattr(orch, "BLOCK_JUMPS", block_jumps)
+    sizes = []
+    real_block = orch._compute_block
+
+    def block(config, indices, Ls):
+        sizes.append(sum(L.n_jumps for L in Ls))
+        return real_block(config, indices, Ls)
+
+    monkeypatch.setattr(orch, "_compute_block", block)
+    split = run_paths(cfg, workers=1)
+    # every block but the last stops at the first path that reaches the bound
+    assert len(sizes) > 1 and all(n >= block_jumps for n in sizes[:-1])
+    for f in fields(EnsembleSummary):
+        if f.name not in ("config", "failures"):
+            np.testing.assert_array_equal(
+                getattr(split, f.name), getattr(whole, f.name), err_msg=f.name)
+
+
+def test_a_failed_block_call_fails_only_its_path(monkeypatch):
+    """A block-level count that raises is run again path by path: only the
+    offending path fails, and every column equals that of a run in which
+    the same path failed in the sampler."""
+    import zeroset.orchestration as orch
+
+    # two failures are allowed from 200 paths on
+    cfg = _config(n_paths=200)
+    bad = int(np.flatnonzero(run_paths(cfg, workers=1).heavy_valid)[0])
+    last = cfg.n_paths - 1
+    assert bad < last
+    real_sample, real_invert, real_count = (
+        orch.sample, orch.invert_profile, orch.count_heavy_subintervals)
+    inverted = []
+
+    def sample_fails_at(*indices):
+        seeds = {orch.derive_path_seed(cfg.master_seed, i) for i in indices}
+
+        def sample(spec, seed):
+            if seed in seeds:
+                raise RuntimeError("synthetic failure")
+            return real_sample(spec, seed)
+        return sample
+
+    def invert(profile):
+        inverted.append(real_invert(profile))
+        return inverted[-1]
+
+    def count(L, n, r):
+        if any(f is inverted[bad] for f in L):
+            raise RuntimeError("synthetic block failure")
+        return real_count(L, n, r)
+
+    monkeypatch.setattr(orch, "sample", sample_fails_at(bad, last))
+    reference = run_paths(cfg, workers=1)
+    monkeypatch.setattr(orch, "sample", sample_fails_at(last))
+    monkeypatch.setattr(orch, "invert_profile", invert)
+    monkeypatch.setattr(orch, "count_heavy_subintervals", count)
+    summary = run_paths(cfg, workers=1)
+
+    # failures stay in index order, although the block failure came last
+    assert summary.failures == [
+        (bad, "RuntimeError: synthetic block failure"),
+        (last, "RuntimeError: synthetic failure"),
+    ]
+    assert summary.n_ok == cfg.n_paths - 2 and not summary.ok[bad]
+    for f in fields(EnsembleSummary):
+        if f.name not in ("config", "failures"):
+            np.testing.assert_array_equal(
+                getattr(summary, f.name), getattr(reference, f.name), err_msg=f.name)
 
 
 def test_crashed_run_leaves_no_stale_manifest(monkeypatch, tmp_path):

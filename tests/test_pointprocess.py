@@ -126,6 +126,55 @@ def test_count_hand_case():
     assert at_zero.count(1.0, 0.0) == 1  # the left end is exclusive
 
 
+def test_count_refuses_a_nan_mark_threshold():
+    points = jumps_to_empp(_hand_L(), (0.0, 4.0))
+    block = jumps_to_empp([_hand_L(), _hand_L()], (0.0, 4.0))
+    for P in (points, block):
+        with pytest.raises(ValueError, match="mark_gt"):
+            P.count(1.0, float("nan"))
+        with pytest.raises(ValueError, match="x_hi"):
+            P.count(float("nan"), 0.0)
+
+
+def test_block_of_point_sets_counts_set_by_set():
+    short = JumpFunction(locations=[0.1], sizes=[5.0], drift=0.0, total_mass_cap=1.0)
+    empty = JumpFunction(locations=[], sizes=[], drift=0.0, total_mass_cap=2.0)
+    block = jumps_to_empp([_hand_L(), empty, short], (0.0, 1.0))
+    assert block.offsets.tolist() == [0, 2, 2, 3]
+    assert block.locations.tolist() == [0.25, 0.6, 0.1]
+    counts = block.count(1.0, 0.4)
+    assert counts.dtype == np.int64 and counts.tolist() == [2, 0, 1]
+    scaled = rescale_empp(block, 0.5, 2.0)
+    assert scaled.offsets is block.offsets
+    assert scaled.count(1.0, 2.0).tolist() == [1, 0, 1]
+    assert jumps_to_empp([], (0.0, 1.0)).count(1.0, 0.0).tolist() == []
+    with pytest.raises(ValueError):
+        empp_to_jumps(block)
+    # the short path's cap misses the window, as for a single function
+    with pytest.raises(ValueError, match=r"L\[2\]"):
+        jumps_to_empp([_hand_L(), empty, short], (0.0, 1.5))
+
+
+def test_block_of_point_sets_is_checked_set_by_set():
+    # a set may start below the end of the set before it
+    MarkedPointSet(locations=[0.5, 0.9, 0.1], marks=[1.0] * 3, window=(0.0, 1.0),
+                   offsets=[0, 2, 3])
+    for locations, offsets in (([0.5, 0.5, 0.1], [0, 2, 3]), ([0.5, 0.9, 0.1], [0, 3])):
+        with pytest.raises(ValueError, match="increasing"):
+            MarkedPointSet(locations=locations, marks=[1.0] * 3, window=(0.0, 1.0),
+                           offsets=offsets)
+    for offsets in ([0, 2], [1, 3], [0, 2, 1, 3], [[0, 3]]):
+        with pytest.raises(ValueError, match="offsets"):
+            MarkedPointSet(locations=[0.5, 0.9, 0.1], marks=[1.0] * 3, window=(0.0, 1.0),
+                           offsets=offsets)
+    with pytest.raises(ValueError, match="inside the window"):
+        MarkedPointSet(locations=[0.5, 0.9, 1.5], marks=[1.0] * 3, window=(0.0, 1.0),
+                       offsets=[0, 2, 3])
+    with pytest.raises(ValueError, match="marks"):
+        MarkedPointSet(locations=[0.5, 0.9, 0.1], marks=[1.0, 1.0, float("nan")],
+                       window=(0.0, 1.0), offsets=[0, 2, 3])
+
+
 def test_count_is_monotone_in_the_mark_threshold():
     rng = np.random.default_rng(4)
     points = jumps_to_empp(_poisson_pareto_L(rng), (0.0, 1.0))
@@ -224,6 +273,17 @@ def test_count_heavy_subintervals_sequence_form():
     assert counts.dtype == np.int64 and counts.tolist() == [2, 1, 2]
     assert count_heavy_subintervals(L, np.array([4]), 1.0).tolist() == [1]
     assert type(count_heavy_subintervals(L, np.int64(4), 1.0)) is int
+
+
+def test_count_heavy_subintervals_block_form():
+    drift_only = JumpFunction(locations=[], sizes=[], drift=10.0, total_mass_cap=1.0)
+    block = [_hand_L(), drift_only]
+    counts = count_heavy_subintervals(block, [4, 16], 0.4)
+    assert counts.dtype == np.int64 and counts.tolist() == [[2, 2], [4, 16]]
+    assert count_heavy_subintervals(block, 4, 1.0).tolist() == [1, 4]
+    assert count_heavy_subintervals([], [4, 16], 1.0).shape == (0, 2)
+    with pytest.raises(ValueError, match=r"L\[1\]"):
+        count_heavy_subintervals([_hand_L(), _hand_L(cap=0.5)], 4, 1.0)
 
 
 def test_count_heavy_subintervals_counts_drift_only_subintervals():
@@ -348,6 +408,23 @@ def test_window_exceedance_counts_hand_case():
     np.testing.assert_array_equal(counts, [1, 1, 0])
     with pytest.raises(ValueError):
         window_exceedance_counts(L, float("nan"), thresholds=[0.4])
+
+
+def test_window_exceedance_counts_refuse_a_nan_threshold():
+    for L in (_hand_L(), [_hand_L(), _hand_L(cap=0.5)]):
+        with pytest.raises(ValueError, match="thresholds"):
+            window_exceedance_counts(L, 1.0, [0.4, float("nan")])
+        with pytest.raises(ValueError, match="thresholds"):
+            window_exceedance_counts(L, 1.0, float("nan"))
+
+
+def test_window_exceedance_counts_block_form():
+    block = [_hand_L(), JumpFunction(locations=[], sizes=[], drift=0.0, total_mass_cap=0.0)]
+    counts = window_exceedance_counts(block, 1.0, [0.4, 1.0, 4.0])
+    assert counts.dtype == np.int64 and counts.tolist() == [[2, 1, 0], [0, 0, 0]]
+    assert window_exceedance_counts([], 1.0, [0.4]).shape == (0, 1)
+    with pytest.raises(TypeError):
+        window_exceedance_counts([_hand_L(), None], 1.0, [0.4])
 
 
 def test_intensity_ratio_from_counts():

@@ -31,11 +31,12 @@ from zeroset import (
     support_diagnostic,
 )
 from zeroset.errors import ConfigError
-from zeroset.invariance import self_similarity_masses
+from zeroset.invariance import self_similarity_masses, stationarity_increments
 from zeroset.orchestration import MAX_GRID_SIZE, MAX_LATTICE_POINTS, MAX_N_PATHS, MAX_WORKERS
 from zeroset.pointprocess import (
     MarkedPointSet,
     count_heavy_subintervals,
+    jumps_to_empp,
     rescale_empp,
     window_exceedance_counts,
 )
@@ -323,6 +324,86 @@ def test_count_heavy_subintervals_matches_the_dense_reference(L, ns, data):
     counts = count_heavy_subintervals(L, ns, r)
     assert counts.dtype == np.int64 and counts.tolist() == dense
     assert [count_heavy_subintervals(L, n, r) for n in ns] == dense
+
+
+@st.composite
+def _ragged_blocks(draw):
+    """Blocks of up to six jump functions as the driver forms them: empty
+    paths, jumps at level 0 and on grid points k/n, drifts up to 50 (the
+    dense heavy-count branch for small n), and mass caps on both sides of
+    the window, of level 1 and of the stationarity levels."""
+    n = draw(_subdivisions)
+    block = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        locations = sorted(set(draw(st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=1.5),
+                st.integers(min_value=0, max_value=2 * n).map(lambda k: k / n),
+            ),
+            max_size=12,
+        ))))
+        sizes = draw(st.lists(st.floats(min_value=1e-3, max_value=5.0),
+                              min_size=len(locations), max_size=len(locations)))
+        drift = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0)))
+        cap = max([0.0, *locations]) + draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]))
+        block.append(JumpFunction(locations=locations, sizes=sizes, drift=drift,
+                                  total_mass_cap=cap))
+    return n, block
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ragged_blocks(), st.data())
+def test_block_calls_equal_a_loop_of_single_calls(case, data):
+    n, block = case
+    jump_levels = sorted({x for L in block for x in L.locations.tolist() if x > 0.0})
+    x_window = data.draw(st.one_of(
+        st.floats(min_value=1e-3, max_value=2.0), st.sampled_from(jump_levels or [1.0])))
+    thresholds = data.draw(st.lists(st.floats(min_value=0.0, max_value=6.0), max_size=8))
+    m0 = data.draw(st.floats(min_value=1e-3, max_value=6.0))
+    r = data.draw(st.one_of(st.floats(min_value=1e-6, max_value=20.0),
+                            st.sampled_from([2.0 * L.drift / n for L in block if L.drift > 0.0]
+                                            or [1.0])))
+    r_t = data.draw(st.floats(min_value=0.05, max_value=0.95))
+    beta = data.draw(st.floats(min_value=1.0, max_value=10.0))
+    x0 = data.draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)))
+    h = data.draw(st.floats(min_value=1e-3, max_value=1.0))
+    ns = [n, 2 * n]
+
+    counts = window_exceedance_counts(block, x_window, thresholds)
+    singles = [window_exceedance_counts(L, x_window, thresholds) for L in block]
+    expected = np.array(singles, dtype=np.int64).reshape(len(block), len(thresholds))
+    assert _same_bits(counts, expected)
+
+    pairs = stationarity_increments(block, x0, h)
+    singles = [stationarity_increments(L, x0, h) for L in block]
+    expected = [(math.nan, math.nan) if p is None else p for p in singles]
+    assert _same_bits(pairs, np.array(expected, dtype=np.float64).reshape(len(block), 2))
+
+    covering = [L for L in block if L.total_mass_cap >= x_window]
+    points = jumps_to_empp(covering, (0.0, x_window))
+    singles = [jumps_to_empp(L, (0.0, x_window)) for L in covering]
+    scaled = [rescale_empp(p, r_t, beta) for p in singles]
+    for P, parts in ((points, singles), (rescale_empp(points, r_t, beta), scaled)):
+        if parts:
+            assert P.window == parts[0].window
+        assert _same_bits(P.offsets, np.cumsum([0] + [p.n_points for p in parts]))
+        assert _same_bits(P.locations, np.concatenate([p.locations for p in parts] or [[]]))
+        assert _same_bits(P.marks, np.concatenate([p.marks for p in parts] or [[]]))
+        assert _same_bits(P.count(x_window, m0),
+                          np.array([p.count(x_window, m0) for p in parts], dtype=np.int64))
+
+    units = [L for L in block if L.total_mass_cap >= 1.0]
+    heavy = count_heavy_subintervals(units, ns, r)
+    singles = [count_heavy_subintervals(L, ns, r) for L in units]
+    assert _same_bits(heavy, np.array(singles, dtype=np.int64).reshape(len(units), 2))
+    assert _same_bits(count_heavy_subintervals(units, n, r), heavy[:, 0])
+    note(f"{len(block)} paths, {len(covering)} cover the window, {len(units)} reach 1")
 
 
 @pytest.mark.parametrize(
