@@ -13,10 +13,11 @@ events, estimates the local-time profile, reads the profile columns
 the profile to a jump function.  It then reads every column that comes
 from the jump functions (caps, drifts, jump counts, validity flags,
 increments of the inverse, exceedance, bi-scale and heavy-subinterval
-counts, and the pooled jump marks) with one call per quantity on a block
-of paths: the whole chunk, or as many paths as hold BLOCK_JUMPS jumps.  If
-such a call raises, the block runs again one path at a time, so that only
-the offending path fails.  Every value comes from the same library function
+counts, interior jump counts, and the pooled jump marks that the Hill fit
+can read) with one call per quantity on a block of paths: the whole
+chunk, or as many paths as hold BLOCK_JUMPS jumps.  If such a call
+raises, the block runs again one path at a time, so that only the
+offending path fails.  Every value comes from the same library function
 that the object-level API uses, whose single form is a block of one, so
 each quantity has one implementation.  The columns are declared
 once, as the fields of ``EnsembleSummary`` with their dtype, per-path
@@ -36,8 +37,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
@@ -525,7 +524,11 @@ class EnsembleSummary:
     biscale_scaled_alt: np.ndarray = _per_path(np.int64, 0)
     heavy_valid: np.ndarray = _per_path(bool, False)
     heavy_counts: np.ndarray = _per_path(np.int64, -1, "heavy_subdivisions")
-    # interior jump sizes of every path
+    # interior jumps of each path: the size of the Hill fit's full pool
+    n_marks: np.ndarray = _per_path(np.int64, 0)
+    # the interior jump sizes that can be among the Hill fit's k + 1 largest:
+    # of each path, those above _hill_pool_floor and one copy of the largest
+    # of the rest
     marks_pool: np.ndarray = _pooled(np.float64)
     # interior jumps of at least m0 / 2, with the index of their path
     dump_index: np.ndarray = _pooled(np.int64)
@@ -536,6 +539,11 @@ class EnsembleSummary:
     @property
     def n_ok(self) -> int:
         return int(np.count_nonzero(self.ok))
+
+    @property
+    def n_marks_pooled(self) -> int:
+        """Interior jumps of the ok paths: the Hill fit's n_marks."""
+        return int(self.n_marks[self.ok].sum())
 
 
 _COLUMNS = tuple(f for f in fields(EnsembleSummary) if "dtype" in f.metadata)
@@ -596,12 +604,21 @@ def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -
 
     # the jump at level 0, when present, is the censored leading stretch;
     # it is kept out of the mark pool and the dump like any other censoring
-    locs, sizes = block.locations, block.sizes
+    locs, sizes, owner = block.locations, block.sizes, block.owner
     interior = locs > 0.0
     keep = interior & (sizes >= config.m0_resolved / 2.0)
+    # the Hill pool: each path's marks above the floor, and one copy of its
+    # largest other mark, the first of the path once they are sorted by
+    # path and then by size, largest first
+    floor = _hill_pool_floor(config)
+    pooled = interior & (sizes > floor)
+    rest = np.flatnonzero(interior & (sizes <= floor))
+    rest = rest[np.lexsort((-sizes[rest], owner[rest]))]
+    pooled[rest[np.diff(owner[rest], prepend=-1) != 0]] = True
     columns.update(
-        marks_pool=sizes[interior],
-        dump_index=np.asarray(indices, dtype=np.int64)[block.owner[keep]],
+        n_marks=np.bincount(owner[interior], minlength=len(Ls)),
+        marks_pool=sizes[pooled],
+        dump_index=np.asarray(indices, dtype=np.int64)[owner[keep]],
         dump_locs=locs[keep],
         dump_sizes=sizes[keep],
     )
@@ -628,6 +645,16 @@ def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -
     )
     columns["heavy_counts"] = _scatter(config, "heavy_counts", heavy_valid, heavy)
     return columns
+
+
+def _hill_pool_floor(config: ExperimentConfig) -> float:
+    """The mark level above which the Hill fit counts its k order statistics.
+
+    The fit reads only the marks above it and the largest mark at or below
+    it, so each path pools just those (a block-independent rule).  With an
+    explicit ``hill_k`` it is 0: every mark is pooled.
+    """
+    return 0.0 if config.hill_k is not None else HILL_FLOOR_MULTIPLE * config.mark_floor
 
 
 def _scatter(config: ExperimentConfig, name: str, rows: np.ndarray, values) -> np.ndarray:
@@ -734,6 +761,10 @@ def _iter_chunks(
         for lo, hi in ranges:
             yield _compute_chunk(config, lo, hi)
     else:
+        # imported here: a 1-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = [pool.submit(_compute_chunk, config, lo, hi) for lo, hi in ranges]
@@ -925,6 +956,7 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
     cfg = summary.config
     target = 1.0 - cfg.hurst
     marks = summary.marks_pool
+    n_marks = summary.n_marks_pooled
     floor = cfg.mark_floor
 
     hill_payload: dict
@@ -932,17 +964,18 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
     if k is None:
         # order statistics down to three resolution floors: low enough to
         # dodge the horizon truncation of the largest excursions, high
-        # enough to clear the lattice distortion of the smallest ones
-        k = int(np.count_nonzero(marks > HILL_FLOOR_MULTIPLE * floor))
+        # enough to clear the lattice distortion of the smallest ones.
+        # The pool holds every mark above the floor, so k is the full pool's
+        k = int(np.count_nonzero(marks > _hill_pool_floor(cfg)))
     try:
-        fit = hill_tail_index(marks, k)
+        fit = hill_tail_index(marks, k, n_marks)
         hill_payload = {
             "exponent": fit.exponent,
             "constant": fit.constant,
             "stderr": fit.stderr,
             "k_used": fit.k_used,
             "method": fit.method.value,
-            "n_marks_pooled": int(len(marks)),
+            "n_marks_pooled": n_marks,
             "target_exponent": target,
             "abs_error": abs(fit.exponent - target),
         }
@@ -1186,7 +1219,7 @@ def run_experiment(
         "zero_mass_paths": int(np.count_nonzero(summary.zero_mass[summary.ok])),
         "stationarity_excluded": int(np.count_nonzero(summary.ok) - np.count_nonzero(summary.stat_valid[summary.ok])),
         "window_excluded": int(np.count_nonzero(summary.ok) - np.count_nonzero(summary.covers_window[summary.ok])),
-        "marks_pooled": int(len(summary.marks_pool)),
+        "marks_pooled": summary.n_marks_pooled,
         "mean_drift": (
             float(np.nanmean(summary.drifts[summary.ok])) if summary.n_ok else None
         ),

@@ -265,7 +265,9 @@ def count_heavy_subintervals(L: JumpFunction | Sequence[JumpFunction], n, r: flo
     return int(counts) if counts.ndim == 0 else counts
 
 
-def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit:
+def hill_tail_index(
+    marks: Sequence[float] | np.ndarray, k: int, n_marks: int | None = None
+) -> IntensityFit:
     """Hill estimator of the tail index from the k largest marks.
 
     With descending order statistics m_(1) >= m_(2) >= ...,
@@ -275,21 +277,31 @@ def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit
     and stderr = exponent / sqrt(k).  ``constant`` is the sample-level tail
     prefactor (k / n_marks) * m_(k+1)^exponent, i.e. the fitted survival
     fraction of the pooled marks is constant * m^-exponent near the tail.
+
+    ``n_marks`` is the size of the full pool, ``len(marks)`` by default.
+    Since the fit reads only m_(1), ..., m_(k+1), ``marks`` may be any part
+    of the pool that holds its k + 1 largest marks (ties at m_(k+1) may be
+    kept or not): the result is then the full pool's, bit for bit.
     """
     marks = np.asarray(marks, dtype=np.float64)
     if marks.ndim != 1:
         raise ValueError("marks must be a 1-d array")
-    if len(marks) < 3:
+    n_marks = len(marks) if n_marks is None else n_marks
+    if n_marks < len(marks):
+        raise ValueError(f"n_marks = {n_marks} is less than the {len(marks)} marks given")
+    if n_marks < 3:
         raise InsufficientDataError(
-            f"Hill needs at least 3 marks, got {len(marks)}"
+            f"Hill needs at least 3 marks, got {n_marks}"
         )
     # NaN fails both comparisons
-    if not (marks.min() > 0.0 and marks.max() < np.inf):
+    if len(marks) and not (marks.min() > 0.0 and marks.max() < np.inf):
         raise ValueError("marks must be finite and positive")
-    if not 2 <= k < len(marks):
+    if not 2 <= k < n_marks:
         raise InsufficientDataError(
-            f"k must satisfy 2 <= k < n_marks = {len(marks)}, got {k}"
+            f"k must satisfy 2 <= k < n_marks = {n_marks}, got {k}"
         )
+    if k >= len(marks):
+        raise ValueError(f"the k + 1 = {k + 1} largest marks are needed, got {len(marks)}")
     ordered = np.sort(marks)[::-1]
     floor_mark = float(ordered[k])
     # the ratios are divided and logged in place in the sorted copy, the
@@ -303,7 +315,7 @@ def hill_tail_index(marks: Sequence[float] | np.ndarray, k: int) -> IntensityFit
     exponent = 1.0 / mean_log
     return IntensityFit(
         exponent=exponent,
-        constant=(k / len(marks)) * floor_mark ** exponent,
+        constant=(k / n_marks) * floor_mark ** exponent,
         stderr=exponent / math.sqrt(k),
         k_used=k,
         method=FitMethod.HILL,

@@ -229,7 +229,8 @@ def test_criterion_3_excursion_tail_law(fbm_ensembles, verdicts):
         floor = summary.config.mark_floor
         marks = summary.marks_pool
         k = int(np.count_nonzero(marks > HILL_FLOOR_MULTIPLE * floor))
-        hill = hill_tail_index(marks, k)
+        # the pool holds the marks the fit reads; n_marks counts them all
+        hill = hill_tail_index(marks, k, summary.n_marks_pooled)
         hill_err = abs(hill.exponent - target)
         low = int(summary.ratio_counts[summary.ok, 0].sum())
         high = int(summary.ratio_counts[summary.ok, 1].sum())

@@ -2,12 +2,16 @@ import csv
 import importlib.util
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 from concurrent.futures import Future
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import zeroset
 from zeroset import (
     ConfigError,
     EnsembleSummary,
@@ -19,6 +23,7 @@ from zeroset import (
 from zeroset.cli import main
 from zeroset.orchestration import (
     CHUNK_TARGET,
+    HILL_FLOOR_MULTIPLE,
     LOGLOG_FACTORS,
     MAX_GRID_SIZE,
     MAX_LATTICE_POINTS,
@@ -237,7 +242,8 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch, n_paths, workers, pool_s
     import zeroset.orchestration as orch
 
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(orch, "ProcessPoolExecutor", _InlinePool)
+    # the driver imports the pool class when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     cfg = _config(n_paths=n_paths, workers=workers,
                   process={"family": "bm", "hurst": 0.5, "horizon": 8.0, "grid_size": 64})
     summary = run_paths(cfg)
@@ -286,6 +292,41 @@ def test_run_paths_deterministic_across_worker_counts():
     np.testing.assert_array_equal(one.loglog_counts, two.loglog_counts)
     np.testing.assert_array_equal(one.dump_locs, two.dump_locs)
     np.testing.assert_array_equal(one.dump_sizes, two.dump_sizes)
+
+
+def test_marks_pool_holds_what_the_hill_fit_reads():
+    # each path pools its marks above the Hill floor and one copy of the
+    # largest of the others; with an explicit hill_k every interior mark is
+    # pooled
+    cfg = _config(n_paths=40)
+    summary = run_paths(cfg, workers=1)
+    tau = HILL_FLOOR_MULTIPLE * cfg.mark_floor
+    pool = summary.marks_pool
+    above = int(np.count_nonzero(pool > tau))
+    assert above < len(pool) <= above + summary.n_ok
+    assert len(pool) < summary.n_marks_pooled == summary.n_marks[summary.ok].sum()
+    full = run_paths(cfg.replace(hill_k=50), workers=1)
+    np.testing.assert_array_equal(full.n_marks, summary.n_marks)
+    assert len(full.marks_pool) == full.n_marks[full.ok].sum()
+    np.testing.assert_array_equal(full.marks_pool[full.marks_pool > tau], pool[pool > tau])
+
+
+def test_process_pool_is_imported_only_when_a_pool_starts():
+    raw = _raw(n_paths=2, process={"family": "bm", "hurst": 0.5, "horizon": 8.0,
+                                   "grid_size": 64})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zeroset.__file__)))
+    code = (
+        "import json, sys\n"
+        "from zeroset import ExperimentConfig, run_paths\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        f"cfg = ExperimentConfig.from_dict(json.loads({json.dumps(raw)!r}))\n"
+        "run_paths(cfg, workers=1)\n"
+        "assert not [m for m in pool if m in sys.modules]\n"
+        "run_paths(cfg, workers=2)\n"
+        "assert all(m in sys.modules for m in pool)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
 
 
 def test_run_paths_all_paths_ok():
@@ -403,6 +444,8 @@ def _assert_columns_match_the_library(monkeypatch, process, n_paths):
 
     nan = float("nan")
     n_t, n_thr = len(cfg.t_grid), len(cfg.loglog_thresholds)
+    assert cfg.hill_k is None
+    tau = HILL_FLOOR_MULTIPLE * cfg.mark_floor
     rows = []
     pooled = {"marks_pool": [], "dump_index": [], "dump_locs": [], "dump_sizes": []}
     for i in range(cfg.n_paths):
@@ -414,6 +457,7 @@ def _assert_columns_match_the_library(monkeypatch, process, n_paths):
                 stat_valid=False, covers_window=False, ratio_counts=[0, 0],
                 loglog_counts=[0] * n_thr, biscale_raw=0, biscale_scaled=0,
                 biscale_scaled_alt=0, heavy_valid=False, heavy_counts=[-1, -1],
+                n_marks=0,
             ))
             continue
         seed = derive_path_seed(cfg.master_seed, i)
@@ -458,7 +502,13 @@ def _assert_columns_match_the_library(monkeypatch, process, n_paths):
         rows.append(row)
         interior = L.locations > 0.0
         dumped = interior & (L.sizes >= m0 / 2.0)
-        pooled["marks_pool"].append(L.sizes[interior])
+        # the marks above the Hill floor, and the first copy of the largest
+        # of the others
+        marks = L.sizes[interior]
+        keep, rest = marks > tau, np.flatnonzero(marks <= tau)
+        keep[rest[np.argmax(marks[rest])] if len(rest) else []] = True
+        row["n_marks"] = len(marks)
+        pooled["marks_pool"].append(marks[keep])
         pooled["dump_index"].append(np.full(np.count_nonzero(dumped), i))
         pooled["dump_locs"].append(L.locations[dumped])
         pooled["dump_sizes"].append(L.sizes[dumped])
@@ -520,6 +570,30 @@ def test_run_experiment_outputs(tmp_path):
     assert {e["name"] for e in inv["battery"]} | set(inv["errors"]) >= {
         "profile-self-similarity"
     }
+
+
+def test_hill_part_of_the_excursions_stage_holds_one_pool_sized_array(tmp_path):
+    # the fit sorts one copy of the pool; a stage that first extended the
+    # pool (say, by the largest mark below the floor) would hold two
+    import zeroset.orchestration as orch
+
+    cfg = _config(n_paths=8)
+    summary = run_paths(cfg, workers=1)
+    tau = HILL_FLOOR_MULTIPLE * cfg.mark_floor
+    rng = np.random.default_rng(13)
+    n_above = 400_000
+    pool = np.concatenate([tau * (1.0 + rng.pareto(0.7, n_above)), np.full(summary.n_ok, tau)])
+    n_marks = np.where(summary.ok, 2 * n_above // summary.n_ok, 0)
+    summary = replace(summary, marks_pool=pool, n_marks=n_marks)
+    tracemalloc.start()
+    try:
+        orch._stage_excursions(summary, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hill = json.loads((tmp_path / "tailfit.json").read_text())["hill"]
+    assert hill["k_used"] == n_above and hill["n_marks_pooled"] == 2 * n_above
+    assert peak < 1.1 * pool.nbytes
 
 
 # SHA-256 of the stage files that hold exact event counts and grid gap

@@ -325,6 +325,26 @@ def test_hill_validation():
         hill_tail_index([1.0, -2.0, 3.0], k=2)
 
 
+def test_hill_on_the_top_of_a_larger_pool():
+    # the k + 1 largest of n_marks marks give the full pool's fit, with
+    # k / n_marks in the constant and n_marks in the checks
+    fit = hill_tail_index([math.e**2, 1.0, math.e], k=2, n_marks=6)
+    assert fit.exponent == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert fit.constant == pytest.approx(1.0 / 3.0, rel=1e-12)
+    full = hill_tail_index([0.5, math.e**2, 0.25, 1.0, math.e, 0.5], k=2)
+    assert hill_tail_index([math.e**2, 1.0, math.e], k=2, n_marks=6) == full
+    with pytest.raises(InsufficientDataError, match="at least 3 marks, got 2"):
+        hill_tail_index([1.0, 2.0], k=2, n_marks=2)
+    with pytest.raises(InsufficientDataError, match="n_marks = 6, got 6"):
+        hill_tail_index([1.0, 2.0, 3.0], k=6, n_marks=6)
+    with pytest.raises(ValueError, match="the k \\+ 1 = 4 largest marks are needed, got 3"):
+        hill_tail_index([1.0, 2.0, 3.0], k=3, n_marks=6)
+    with pytest.raises(ValueError, match="largest marks are needed, got 0"):
+        hill_tail_index([], k=2, n_marks=6)
+    with pytest.raises(ValueError, match="n_marks = 2 is less than the 3 marks"):
+        hill_tail_index([1.0, 2.0, 3.0], k=2, n_marks=2)
+
+
 def test_hill_refuses_nan_and_infinite_marks():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):

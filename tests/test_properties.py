@@ -30,12 +30,20 @@ from zeroset import (
     sample,
     support_diagnostic,
 )
-from zeroset.errors import ConfigError
+from zeroset.errors import ConfigError, InsufficientDataError
 from zeroset.invariance import self_similarity_masses, stationarity_increments
-from zeroset.orchestration import MAX_GRID_SIZE, MAX_LATTICE_POINTS, MAX_N_PATHS, MAX_WORKERS
+from zeroset.orchestration import (
+    HILL_FLOOR_MULTIPLE,
+    MAX_GRID_SIZE,
+    MAX_LATTICE_POINTS,
+    MAX_N_PATHS,
+    MAX_WORKERS,
+    _compute_block,
+)
 from zeroset.pointprocess import (
     MarkedPointSet,
     count_heavy_subintervals,
+    hill_tail_index,
     jumps_to_empp,
     rescale_empp,
     window_exceedance_counts,
@@ -579,3 +587,72 @@ def test_config_refuses_every_bad_field_value(field, raw):
         note(f"{'.'.join(field)} = {bad!r}")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(mutated)
+
+
+_POOL_RAW = {
+    "schema_version": 1,
+    "process": {"family": "bm", "hurst": 0.5, "horizon": 8.0, "grid_size": 64},
+    "n_paths": 1,
+    "master_seed": 1,
+}
+
+
+@st.composite
+def _ragged_marks(draw):
+    """The jump functions of a block of up to six paths, and the Hill floor
+    tau of their config: empty paths, paths with no mark at or below tau,
+    marks tied at tau and with each other, and a censored jump at level 0
+    that stays out of the pool."""
+    hill_k = draw(st.one_of(st.none(), st.integers(min_value=2, max_value=80)))
+    config = ExperimentConfig.from_dict({**_POOL_RAW, "analysis": {"hill_k": hill_k}})
+    tau = HILL_FLOOR_MULTIPLE * config.mark_floor
+    tied = st.sampled_from([tau, tau / 2.0, 2.0 * tau])
+    block = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        if draw(st.booleans()):
+            marks = st.one_of(tied, st.floats(min_value=1e-3, max_value=5.0))
+        else:
+            marks = st.one_of(st.just(2.0 * tau), st.floats(min_value=tau, max_value=5.0,
+                                                            exclude_min=True))
+        sizes = draw(st.lists(marks, max_size=30))
+        start = draw(st.sampled_from([0, 1]))
+        locations = 0.01 * np.arange(start, start + len(sizes))
+        block.append(JumpFunction(locations=locations, sizes=sizes, drift=0.0,
+                                  total_mass_cap=float(locations[-1]) if sizes else 0.0))
+    return config, tau, block
+
+
+def _hill_outcome(*args):
+    try:
+        fit = hill_tail_index(*args)
+    except (InsufficientDataError, ValueError) as exc:
+        return type(exc), str(exc)
+    return np.array([fit.exponent, fit.constant, fit.stderr]).tobytes(), fit.k_used
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ragged_marks())
+def test_the_pooled_marks_give_the_full_pools_hill_fit(case):
+    """The driver pools, per path, the marks above the Hill floor and one
+    copy of the largest of the others (every mark with an explicit hill_k); the fit on
+    that pool is the full pool's, bit for bit, or fails alike."""
+    config, tau, block = case
+    columns = _compute_block(config, list(range(len(block))), block)
+    pool, n_marks = columns["marks_pool"], columns["n_marks"]
+    full = np.concatenate([L.sizes[L.locations > 0.0] for L in block] or [[]])
+    assert _same_bits(n_marks, np.array([np.count_nonzero(L.locations > 0.0) for L in block],
+                                        dtype=np.int64))
+    # the rule is per path: a block pools what its paths pool alone
+    alone = [_compute_block(config, [0], [L])["marks_pool"] for L in block]
+    assert _same_bits(pool, np.concatenate(alone or [[]]))
+    if config.hill_k is None:
+        # of the marks at or below tau, a path pools at most one
+        assert all(np.count_nonzero(m <= tau) <= 1 for m in alone)
+        assert len(pool) <= np.count_nonzero(full > tau) + len(block)
+        k, k_full = (int(np.count_nonzero(m > tau)) for m in (pool, full))
+        assert k == k_full
+    else:
+        assert _same_bits(pool, full)
+        k = k_full = config.hill_k
+    note(f"{len(block)} paths, {len(full)} marks, {len(pool)} pooled, k = {k}")
+    assert _hill_outcome(pool, k, int(n_marks.sum())) == _hill_outcome(full, k_full)
