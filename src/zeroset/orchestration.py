@@ -648,11 +648,13 @@ def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -
 
 
 def _hill_pool_floor(config: ExperimentConfig) -> float:
-    """The mark level above which the Hill fit counts its k order statistics.
+    """The floor of the Hill pool.
 
-    The fit reads only the marks above it and the largest mark at or below
-    it, so each path pools just those (a block-independent rule).  With an
-    explicit ``hill_k`` it is 0: every mark is pooled.
+    By default the fit's k counts the marks above HILL_FLOOR_MULTIPLE mark
+    floors, and it reads only those and the largest mark at or below them,
+    so each path pools just those (a block-independent rule).  An explicit
+    ``hill_k`` may reach any mark: the floor is then 0, and every mark is
+    pooled.
     """
     return 0.0 if config.hill_k is not None else HILL_FLOOR_MULTIPLE * config.mark_floor
 
