@@ -37,7 +37,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
@@ -66,6 +66,7 @@ from .localtime import (
     JumpBlock,
     JumpFunction,
     atom_diagnostic,
+    default_epsilon,
     estimate_local_time,
     invert_profile,
     persistence_indicator,
@@ -139,112 +140,132 @@ ORACLE_SE_MULTIPLE = 3.0
 
 _TEST_NAMES = ("self_similarity", "increment_stationarity", "bi_scale")
 
-_TOP_KEYS = {
-    "schema_version", "process", "n_paths", "master_seed", "epsilon",
-    "t_grid", "threshold", "fit_range", "analysis", "tests", "workers",
-    "out_dir",
-}
-_PROCESS_KEYS = {"family", "hurst", "horizon", "grid_size", "micro_factor"}
-_EPSILON_KEYS = {"c", "exponent_is_hurst"}
-_ANALYSIS_KEYS = {
-    "mark_floor_factor", "hill_k", "ratio_r", "x_window", "m0",
-    "test_r", "test_x0", "test_h", "heavy_subdivisions",
-}
+
+def _integer(value, name: str) -> int:
+    """An integral JSON number as an int; booleans and fractions are errors."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+def _finite(value, name: str) -> float:
+    """A finite JSON number as a float; booleans, NaN and infinities are errors."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond every float
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _family(value, name: str) -> Family:
+    if isinstance(value, Family) or value in [f.value for f in Family]:
+        return Family(value)
+    raise ConfigError(f"{name} must be one of {[f.value for f in Family]}, got {value!r}")
+
+
+def _sequence(item=None):
+    """A converter of a JSON list to the tuple of its items, converted by ``item`` if given."""
+
+    def convert(value, name: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(value) if item is None else tuple(item(v, name) for v in value)
+
+    return convert
+
+
+def _field(path: str, convert=None, default=MISSING, check=None, derive=None):
+    """Declare a config field: its JSON path, converter, default and check.
+
+    The constructor converts each value (None: keep it as given) and checks
+    it, so ``from_dict``, ``replace`` and overrides share one path.  ``check``
+    is a pair (predicate, rule): a value v failing the predicate raises
+    "<path> must <rule>, got v".  A field whose default is None may be null;
+    ``derive`` then computes it from the fields above it.
+    """
+    return field(default=default, metadata=dict(
+        path=path, convert=convert, check=check, derive=derive))
+
+
+_POSITIVE = (lambda x: x > 0.0, "be positive")
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Fully resolved description of one ensemble experiment."""
 
-    family: Family
-    hurst: float
-    horizon: float
-    grid_size: int
-    micro_factor: int
-    n_paths: int
-    master_seed: int
-    c_epsilon: float
-    epsilon_exponent_is_hurst: bool
-    t_grid: tuple[float, ...]
-    threshold: float
-    fit_t_lo: float | None
-    fit_t_hi: float | None
-    mark_floor_factor: float
-    hill_k: int | None
-    ratio_r: float | None
-    x_window: float
-    m0: float | None
-    test_r: float
-    test_x0: float
-    test_h: float
-    heavy_subdivisions: tuple[int, int]
-    tests: tuple[str, ...]
-    workers: int
-    out_dir: str | None
+    family: Family = _field("process.family", _family)
+    hurst: float = _field("process.hurst", _finite)
+    horizon: float = _field("process.horizon", _finite)
+    grid_size: int = _field("process.grid_size", _integer, check=(
+        lambda n: n <= MAX_GRID_SIZE, f"be at most {MAX_GRID_SIZE}"))
+    micro_factor: int = _field("process.micro_factor", _integer, 16)
+    n_paths: int = _field("n_paths", _integer, check=(
+        lambda n: 1 <= n <= MAX_N_PATHS, f"lie in [1, {MAX_N_PATHS}]"))
+    master_seed: int = _field("master_seed", _integer, 0, (
+        lambda s: 0 <= s < 2**64, "be an unsigned 64-bit integer"))
+    c_epsilon: float = _field("epsilon.c", _finite, DEFAULT_C_EPSILON, _POSITIVE)
+    epsilon_exponent_is_hurst: bool = _field("epsilon.exponent_is_hurst", None, True, (
+        lambda b: isinstance(b, bool), "be true or false"))
+    t_grid: tuple[float, ...] = _field("t_grid", _sequence(_finite), None, (
+        lambda g: len(g) > 0 and g[0] > 0.0 and all(a < b for a, b in zip(g, g[1:])),
+        "be a strictly increasing positive sequence",
+    ), lambda cfg: tuple(cfg.horizon / 2**j for j in range(8, -1, -1)))
+    threshold: float = _field("threshold", _finite, 1.0, _POSITIVE)
+    fit_range: tuple[float, float] | None = _field("fit_range", _sequence(_finite), None, (
+        lambda r: len(r) == 2 and 0.0 < r[0] < r[1], "be [T_lo, T_hi] with 0 < T_lo < T_hi"))
+    mark_floor_factor: float = _field("analysis.mark_floor_factor", _finite, 2.0, _POSITIVE)
+    hill_k: int | None = _field("analysis.hill_k", _integer, None, (
+        lambda k: k >= 2, "be at least 2"))
+    ratio_r: float | None = _field("analysis.ratio_r", _finite, None, _POSITIVE)
+    x_window: float = _field("analysis.x_window", _finite, 1.0, _POSITIVE)
+    m0: float | None = _field("analysis.m0", _finite, None, _POSITIVE)
+    test_r: float = _field("analysis.test_r", _finite, 0.5, (
+        lambda r: 0.0 < r < 1.0, "lie in (0, 1)"))
+    test_x0: float = _field("analysis.test_x0", _finite, 0.5, (lambda x: x >= 0.0, "be at least 0"))
+    test_h: float = _field("analysis.test_h", _finite, 0.5, _POSITIVE)
+    heavy_subdivisions: tuple[int, int] = _field(
+        "analysis.heavy_subdivisions", _sequence(_integer), (1024, 4096),
+        (lambda h: len(h) == 2 and min(h) >= 1, "be two positive integers"))
+    tests: tuple[str, ...] = _field("tests", _sequence(), _TEST_NAMES, (
+        lambda t: all(n in _TEST_NAMES for n in t) and len(set(t)) == len(t),
+        f"name tests of {_TEST_NAMES}, each at most once"))
+    workers: int = _field("workers", _integer, 1, (
+        lambda w: 1 <= w <= MAX_WORKERS, f"lie in [1, {MAX_WORKERS}]"))
+    out_dir: str | None = _field("out_dir", None, None, (
+        lambda s: isinstance(s, str), "be a string or null"))
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            path, convert, check, derive = (
+                f.metadata[key] for key in ("path", "convert", "check", "derive"))
+            value = getattr(self, f.name)
+            if value is None and derive is not None:
+                value = derive(self)
+            if value is None and f.default is None:
+                continue
+            value = value if convert is None else convert(value, path)
+            if check is not None and not check[0](value):
+                raise ConfigError(f"{path} must {check[1]}, got {value!r}")
+            object.__setattr__(self, f.name, value)
         self.spec()  # delegate process validation
-        if self.grid_size > MAX_GRID_SIZE:
-            raise ConfigError(f"grid_size must be at most {MAX_GRID_SIZE}, got {self.grid_size}")
         if self.grid_size * self.micro_factor > MAX_LATTICE_POINTS:
-            raise ConfigError(
-                f"grid_size * micro_factor must be at most {MAX_LATTICE_POINTS}, "
-                f"got {self.grid_size} * {self.micro_factor}"
-            )
-        if not 1 <= self.n_paths <= MAX_N_PATHS:
-            raise ConfigError(f"n_paths must lie in [1, {MAX_N_PATHS}], got {self.n_paths}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("master_seed must be an unsigned 64-bit integer")
-        if self.c_epsilon <= 0.0:
-            raise ConfigError(f"epsilon.c must be positive, got {self.c_epsilon}")
-        grid = np.asarray(self.t_grid, dtype=np.float64)
-        if len(grid) == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-            raise ConfigError("t_grid must be a strictly increasing positive sequence")
-        if grid[-1] > self.horizon * (1.0 + 1e-9):
+            raise ConfigError(f"grid_size * micro_factor must be at most {MAX_LATTICE_POINTS}, "
+                              f"got {self.grid_size} * {self.micro_factor}")
+        if self.t_grid[-1] > self.horizon * (1.0 + 1e-9):
             raise ConfigError(f"t_grid exceeds the horizon {self.horizon}")
-        if self.threshold <= 0.0:
-            raise ConfigError(f"threshold must be positive, got {self.threshold}")
-        if (self.fit_t_lo is None) != (self.fit_t_hi is None):
-            raise ConfigError("fit_range must give both ends or be null")
-        if self.fit_t_lo is not None and not 0.0 < self.fit_t_lo < self.fit_t_hi:
-            raise ConfigError(f"fit_range must be increasing, got {self.fit_t_lo, self.fit_t_hi}")
-        if self.mark_floor_factor <= 0.0:
-            raise ConfigError("mark_floor_factor must be positive")
-        if self.hill_k is not None and self.hill_k < 2:
-            raise ConfigError("hill_k must be at least 2")
-        if self.ratio_r is not None and self.ratio_r <= 0.0:
-            raise ConfigError("ratio_r must be positive")
-        if self.x_window <= 0.0:
-            raise ConfigError("x_window must be positive")
-        if self.m0 is not None and self.m0 <= 0.0:
-            raise ConfigError("m0 must be positive")
-        if not 0.0 < self.test_r < 1.0:
-            raise ConfigError(f"test_r must lie in (0, 1), got {self.test_r}")
-        if self.test_x0 < 0.0 or self.test_h <= 0.0:
-            raise ConfigError("test_x0 must be >= 0 and test_h > 0")
-        if len(self.heavy_subdivisions) != 2 or any(int(n) < 1 for n in self.heavy_subdivisions):
-            raise ConfigError("heavy_subdivisions must be two positive integers")
-        unknown_tests = set(self.tests) - set(_TEST_NAMES)
-        if unknown_tests:
-            raise ConfigError(f"unknown tests {sorted(unknown_tests)}; valid: {_TEST_NAMES}")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
 
     def spec(self) -> ProcessSpec:
+        process = (f.name for f in fields(self) if f.metadata["path"].startswith("process."))
         try:
-            return ProcessSpec(
-                family=self.family,
-                hurst=self.hurst,
-                horizon=self.horizon,
-                grid_size=self.grid_size,
-                micro_factor=self.micro_factor,
-            )
+            return ProcessSpec(**{name: getattr(self, name) for name in process})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    # ------------------------------------------------------------------
-    # resolved quantities
-    # ------------------------------------------------------------------
 
     @property
     def delta(self) -> float:
@@ -253,7 +274,7 @@ class ExperimentConfig:
     @property
     def epsilon(self) -> float:
         if self.epsilon_exponent_is_hurst:
-            return self.c_epsilon * self.delta**self.hurst
+            return default_epsilon(self.delta, self.hurst, self.c_epsilon)
         return self.c_epsilon
 
     @property
@@ -276,187 +297,44 @@ class ExperimentConfig:
     def loglog_thresholds(self) -> tuple[float, ...]:
         return tuple(f * self.mark_floor for f in LOGLOG_FACTORS)
 
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _TOP_KEYS
+        by_path = {tuple(f.metadata["path"].split(".")): f for f in fields(cls)}
+        sections = {path[0] for path in by_path if len(path) == 2}
+        given = {(key,): value for key, value in raw.items() if key not in sections}
+        for name in sections & raw.keys():
+            if not isinstance(raw[name], dict):
+                raise ConfigError(f"'{name}' must be an object")
+            given.update(((name, key), value) for key, value in raw[name].items())
+        version = given.pop(("schema_version",), None)
+        unknown = sorted(".".join(path) for path in set(given) - set(by_path))
         if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        version = raw.get("schema_version")
+            raise ConfigError(f"unknown config keys {unknown}")
         if isinstance(version, bool) or version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
-            )
-        process = raw.get("process")
-        if not isinstance(process, dict):
-            raise ConfigError("config needs a 'process' object")
-        unknown = set(process) - _PROCESS_KEYS
-        if unknown:
-            raise ConfigError(f"unknown process keys {sorted(unknown)}")
-        try:
-            family = Family(process.get("family"))
-        except ValueError as exc:
-            raise ConfigError(
-                f"family must be one of {[f.value for f in Family]}, "
-                f"got {process.get('family')!r}"
-            ) from exc
-        for req in ("hurst", "horizon", "grid_size"):
-            if req not in process:
-                raise ConfigError(f"process.{req} is required")
-        eps = raw.get("epsilon", {})
-        if not isinstance(eps, dict):
-            raise ConfigError("'epsilon' must be an object")
-        unknown = set(eps) - _EPSILON_KEYS
-        if unknown:
-            raise ConfigError(f"unknown epsilon keys {sorted(unknown)}")
-        analysis = raw.get("analysis", {})
-        if not isinstance(analysis, dict):
-            raise ConfigError("'analysis' must be an object")
-        unknown = set(analysis) - _ANALYSIS_KEYS
-        if unknown:
-            raise ConfigError(f"unknown analysis keys {sorted(unknown)}")
-
-        horizon = _finite(process["horizon"], "process.horizon")
-        t_grid = raw.get("t_grid")
-        if t_grid is None:
-            t_grid = tuple(horizon / 2**j for j in range(8, -1, -1))
-        elif isinstance(t_grid, (list, tuple)):
-            t_grid = tuple(_finite(t, "t_grid") for t in t_grid)
-        else:
-            raise ConfigError(f"t_grid must be a list of horizons or null, got {t_grid!r}")
-        fit_range = raw.get("fit_range")
-        if fit_range is None:
-            fit_lo = fit_hi = None
-        else:
-            if not (isinstance(fit_range, (list, tuple)) and len(fit_range) == 2):
-                raise ConfigError("fit_range must be [T_lo, T_hi] or null")
-            fit_lo, fit_hi = (_finite(t, "fit_range") for t in fit_range)
-        tests = raw.get("tests", _TEST_NAMES)
-        if not isinstance(tests, (list, tuple)):
-            raise ConfigError(f"tests must be a list of test names, got {tests!r}")
-        exponent_is_hurst = eps.get("exponent_is_hurst", True)
-        if not isinstance(exponent_is_hurst, bool):
-            raise ConfigError(
-                f"epsilon.exponent_is_hurst must be true or false, got {exponent_is_hurst!r}"
-            )
-        heavy = analysis.get("heavy_subdivisions", (1024, 4096))
-        out_dir = raw.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ConfigError(f"out_dir must be a string or null, got {out_dir!r}")
-        try:
-            return cls(
-                family=family,
-                hurst=_finite(process["hurst"], "process.hurst"),
-                horizon=horizon,
-                grid_size=_integer(process["grid_size"], "process.grid_size"),
-                micro_factor=_integer(process.get("micro_factor", 16), "process.micro_factor"),
-                n_paths=_integer(raw.get("n_paths", 0), "n_paths"),
-                master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
-                c_epsilon=_finite(eps.get("c", DEFAULT_C_EPSILON), "epsilon.c"),
-                epsilon_exponent_is_hurst=exponent_is_hurst,
-                t_grid=t_grid,
-                threshold=_finite(raw.get("threshold", 1.0), "threshold"),
-                fit_t_lo=fit_lo,
-                fit_t_hi=fit_hi,
-                mark_floor_factor=_finite(
-                    analysis.get("mark_floor_factor", 2.0), "analysis.mark_floor_factor"
-                ),
-                hill_k=(
-                    None if analysis.get("hill_k") is None
-                    else _integer(analysis["hill_k"], "analysis.hill_k")
-                ),
-                ratio_r=(
-                    None if analysis.get("ratio_r") is None
-                    else _finite(analysis["ratio_r"], "analysis.ratio_r")
-                ),
-                x_window=_finite(analysis.get("x_window", 1.0), "analysis.x_window"),
-                m0=(None if analysis.get("m0") is None else _finite(analysis["m0"], "analysis.m0")),
-                test_r=_finite(analysis.get("test_r", 0.5), "analysis.test_r"),
-                test_x0=_finite(analysis.get("test_x0", 0.5), "analysis.test_x0"),
-                test_h=_finite(analysis.get("test_h", 0.5), "analysis.test_h"),
-                heavy_subdivisions=tuple(
-                    _integer(n, "analysis.heavy_subdivisions") for n in heavy
-                ),
-                tests=tuple(tests),
-                workers=_integer(raw.get("workers", 1), "workers"),
-                out_dir=out_dir,
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"malformed config value: {exc}") from exc
+            raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        for path, f in by_path.items():
+            if f.default is MISSING and path not in given:
+                raise ConfigError(f"{f.metadata['path']} is required")
+        return cls(**{by_path[path].name: value for path, value in given.items()})
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "process": {
-                "family": self.family.value,
-                "hurst": self.hurst,
-                "horizon": self.horizon,
-                "grid_size": self.grid_size,
-                "micro_factor": self.micro_factor,
-            },
-            "n_paths": self.n_paths,
-            "master_seed": self.master_seed,
-            "epsilon": {
-                "c": self.c_epsilon,
-                "exponent_is_hurst": self.epsilon_exponent_is_hurst,
-            },
-            "t_grid": list(self.t_grid),
-            "threshold": self.threshold,
-            "fit_range": (
-                None if self.fit_t_lo is None else [self.fit_t_lo, self.fit_t_hi]
-            ),
-            "analysis": {
-                "mark_floor_factor": self.mark_floor_factor,
-                "hill_k": self.hill_k,
-                "ratio_r": self.ratio_r,
-                "x_window": self.x_window,
-                "m0": self.m0,
-                "test_r": self.test_r,
-                "test_x0": self.test_x0,
-                "test_h": self.test_h,
-                "heavy_subdivisions": list(self.heavy_subdivisions),
-            },
-            "tests": list(self.tests),
-            "workers": self.workers,
-            "out_dir": self.out_dir,
-        }
+        out = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            *section, key = f.metadata["path"].split(".")
+            value = getattr(self, f.name)
+            if isinstance(value, (Family, tuple)):
+                value = value.value if isinstance(value, Family) else list(value)
+            (out.setdefault(section[0], {}) if section else out)[key] = value
+        return out
 
     def replace(self, **changes) -> "ExperimentConfig":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
+        return replace(self, **changes)
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _integer(value, name: str) -> int:
-    """An integral JSON number as an int; booleans and fractions are errors."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _finite(value, name: str) -> float:
-    """A finite JSON number as a float; booleans, NaN and infinities are errors."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond every float
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -892,9 +770,9 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _fit_payload(curve, t_lo, t_hi, target_kappa: float) -> dict:
+def _fit_payload(curve, fit_range, target_kappa: float) -> dict:
     try:
-        fit = fit_exponent(curve, t_lo, t_hi)
+        fit = fit_exponent(curve, *(fit_range or ()))
     except (FitRangeError, ValueError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {
@@ -942,14 +820,14 @@ def _stage_persist(summary: EnsembleSummary, out_dir: str) -> None:
     curve_path, fit_path, maxcurve_path, maxfit_path = _stage_paths("persist", out_dir)
     curve = survival_from_events(summary.persist[ok], cfg.t_grid, cfg.threshold)
     _write_csv(curve_path, _CURVE_HEADER, _curve_rows(curve))
-    fit_payload = _fit_payload(curve, cfg.fit_t_lo, cfg.fit_t_hi, target)
+    fit_payload = _fit_payload(curve, cfg.fit_range, target)
     fit_payload["kind"] = "local-time-persistence"
     _write_json(fit_path, fit_payload)
 
     max_curve = survival_from_events(summary.max_persist[ok], cfg.t_grid, 1.0)
     _write_csv(maxcurve_path, _CURVE_HEADER, _curve_rows(max_curve))
     t_max = cfg.t_grid[-1]
-    max_payload = _fit_payload(max_curve, t_max / 8.0, t_max, target)
+    max_payload = _fit_payload(max_curve, (t_max / 8.0, t_max), target)
     max_payload["kind"] = "max-persistence"
     _write_json(maxfit_path, max_payload)
 

@@ -84,7 +84,7 @@ def _survival_curve(summary):
 
 def _kappa_error(summary, hurst: float):
     cfg = summary.config
-    fit = fit_exponent(_survival_curve(summary), cfg.fit_t_lo, cfg.fit_t_hi)
+    fit = fit_exponent(_survival_curve(summary), *(cfg.fit_range or ()))
     return fit, abs(fit.kappa_hat - (1.0 - hurst))
 
 

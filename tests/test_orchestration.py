@@ -262,6 +262,80 @@ def test_config_round_trip_and_hash():
     assert other.config_hash() != cfg.config_hash()
 
 
+# every key set to a value other than its default
+_EVERY_KEY = {
+    "schema_version": 1,
+    "process": {"family": "rosenblatt", "hurst": 0.75, "horizon": 16.0,
+                "grid_size": 512, "micro_factor": 8},
+    "n_paths": 40,
+    "master_seed": 12345,
+    "epsilon": {"c": 0.25, "exponent_is_hurst": False},
+    "t_grid": [1.0, 2.0, 4.0, 8.0],
+    "threshold": 0.5,
+    "fit_range": [1.0, 8.0],
+    "analysis": {"mark_floor_factor": 3.0, "hill_k": 20, "ratio_r": 0.5, "x_window": 2.0,
+                 "m0": 0.75, "test_r": 0.25, "test_x0": 0.25, "test_h": 0.75,
+                 "heavy_subdivisions": [256, 512]},
+    "tests": ["bi_scale", "self_similarity"],
+    "workers": 2,
+    "out_dir": "runs/x",
+}
+
+_DEFAULTS_DICT = {
+    "schema_version": 1,
+    "process": {"family": "fbm", "hurst": 0.5, "horizon": 8.0, "grid_size": 1024,
+                "micro_factor": 16},
+    "n_paths": 24,
+    "master_seed": 7,
+    "epsilon": {"c": 0.5, "exponent_is_hurst": True},
+    "t_grid": [0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+    "threshold": 1.0,
+    "fit_range": None,
+    "analysis": {"mark_floor_factor": 2.0, "hill_k": None, "ratio_r": None, "x_window": 1.0,
+                 "m0": None, "test_r": 0.5, "test_x0": 0.5, "test_h": 0.5,
+                 "heavy_subdivisions": [1024, 4096]},
+    "tests": ["self_similarity", "increment_stationarity", "bi_scale"],
+    "workers": 1,
+    "out_dir": None,
+}
+
+
+@pytest.mark.parametrize("raw, to_dict, digest", [
+    (_raw(), _DEFAULTS_DICT,
+     "cc8bfe1c0ca7dd1b7ff98f1c3bf0617a4e7feb74256f7b5d6b06f67a760e14ec"),
+    (_EVERY_KEY, _EVERY_KEY,
+     "189aee0067661f58a424120a00141d6a8eb6b35a305fed689c5edb6da2de3507"),
+], ids=["defaults", "every-key"])
+def test_config_dict_and_hash_are_pinned(raw, to_dict, digest):
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.to_dict() == to_dict
+    # the key order too: the manifest writes this dict as it comes
+    assert json.dumps(cfg.to_dict()) == json.dumps(to_dict)
+    assert cfg.config_hash() == digest
+
+
+_BM_600 = {"n_paths": 600,
+           "process": {"family": "bm", "hurst": 0.5, "horizon": 8.0, "grid_size": 64}}
+
+
+@pytest.mark.parametrize("override, normalised", [
+    (lambda cfg: cfg.replace(n_paths=1.5), None),
+    (lambda cfg: cfg.replace(t_grid=[1.0, 2.0]), (1.0, 2.0)),
+    (lambda cfg: run_paths(cfg, workers=1.5), None),
+    (lambda cfg: run_paths(cfg, workers=True), None),
+], ids=["replace-n_paths-fraction", "replace-t_grid-list", "run_paths-workers-fraction",
+        "run_paths-workers-bool"])
+def test_overrides_are_converted_as_json_is(override, normalised):
+    cfg = _config(**_BM_600)
+    if normalised is None:
+        with pytest.raises(ConfigError):
+            override(cfg)
+        return
+    changed = override(cfg)
+    assert type(changed.t_grid) is tuple and changed.t_grid == normalised
+    assert hash(changed) == hash(ExperimentConfig.from_dict(changed.to_dict()))
+
+
 def test_load_config_file_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError):

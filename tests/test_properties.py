@@ -8,6 +8,7 @@ are drawn over every key of the schema.
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -566,10 +567,18 @@ _BAD_FIELDS = {
     + tuple([bad, 4] for bad in (0, -1, 1.5, math.nan, math.inf, True, "1", None))
     + ([4], [4, 4, 4], []),
     ("tests",): ("self_similarity", 5, True, math.nan, None, {})
-    + (["nope"], [1], [True], [None], [["bi_scale"]]),
+    + (["nope"], [1], [True], [None], [["bi_scale"]], ["bi_scale", "bi_scale"]),
     ("workers",): _bad_integers(0, -1, MAX_WORKERS + 1, 1_000_000),
     ("out_dir",): (5, 1.5, True, math.nan, [], {}, ["run"]),
 }
+
+
+def test_bad_values_are_listed_for_every_config_field():
+    """_BAD_FIELDS names each field's JSON path, each section and the schema
+    version: a field declared without bad values fails here."""
+    paths = {tuple(f.metadata["path"].split(".")) for f in fields(ExperimentConfig)}
+    sections = {path[:1] for path in paths if len(path) > 1}
+    assert set(_BAD_FIELDS) == paths | sections | {("schema_version",)}
 
 
 @pytest.mark.parametrize("field", sorted(_BAD_FIELDS), ids=".".join)
