@@ -8,23 +8,25 @@ are bit-identical for any worker count.  Nothing in the compute path reads
 the wall clock or OS entropy; timings appear only as manifest metadata.
 
 Per path the worker samples the process, takes the running-maximum
-events, estimates the local-time profile, reads the profile columns
-(persistence events, masses, atom and support diagnostics) and inverts
-the profile to a jump function.  It then reads every column that comes
-from the jump functions (caps, drifts, jump counts, validity flags,
-increments of the inverse, exceedance, bi-scale and heavy-subinterval
-counts, interior jump counts, and the pooled jump marks that the Hill fit
-can read) with one call per quantity on a block of paths: the whole
-chunk, or as many paths as hold BLOCK_JUMPS jumps.  If such a call
-raises, the block runs again one path at a time, so that only the
-offending path fails.  Every value comes from the same library function
-that the object-level API uses, whose single form is a block of one, so
-each quantity has one implementation.  The columns are declared
-once, as the fields of ``EnsembleSummary`` with their dtype, per-path
-width and fill value; each chunk allocates and fills them by name, and
-the chunks are concatenated in index order.  Stage writers turn
-the columns into CSV and JSON files; the manifest records the config hash
-and a checksum of every file written.
+events, estimates the local-time profile, reads the profile columns (the
+local-time masses at the horizons and at r T_max, atom and support
+diagnostics) and inverts the profile to a jump function.  It then reads
+every column that comes from the jump functions (caps, drifts, jump
+counts, validity flags, increments of the inverse, exceedance, bi-scale
+and heavy-subinterval counts, interior jump counts, and the pooled jump
+marks that the Hill fit can read) with one call per quantity on a block
+of paths: the whole chunk, or as many paths as hold BLOCK_JUMPS jumps.
+The block also stacks its paths' profile values.  If it raises, it runs
+again one path at a time, so that only the offending path fails.  Every
+value comes from the same library function that the object-level API
+uses, whose single form is a block of one, so each quantity has one
+implementation.  The columns are declared once, as the fields of
+``EnsembleSummary`` with their dtype, per-path width and fill value; a
+chunk concatenates its blocks' columns into its ok rows, and the chunks
+are concatenated in index order.  The threshold is applied at stage
+time: ``EnsembleSummary.persist`` forms the survival event from the
+masses.  Stage writers turn the columns into CSV and JSON files; the
+manifest records the config hash and a checksum of every file written.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
@@ -68,8 +70,8 @@ from .localtime import (
     atom_diagnostic,
     default_epsilon,
     estimate_local_time,
+    horizon_stretches,
     invert_profile,
-    persistence_indicator,
     support_diagnostic,
 )
 from .persistence import (
@@ -333,7 +335,9 @@ class ExperimentConfig:
         return replace(self, **changes)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the experiment: every key but those of the run, which move no output."""
+        experiment = {k: v for k, v in self.to_dict().items() if k not in ("workers", "out_dir")}
+        canon = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -375,7 +379,9 @@ class EnsembleSummary:
 
     Every field but ``config`` and ``failures`` is a column declared here
     and nowhere else: ``run_paths`` allocates, fills and concatenates the
-    columns from these declarations.
+    columns from these declarations.  The columns hold what a path
+    measures, each quantity once; ``persist`` forms the survival event
+    from ``masses`` and the config's threshold.
     """
 
     config: ExperimentConfig
@@ -384,16 +390,14 @@ class EnsembleSummary:
     caps: np.ndarray = _per_path(np.float64, np.nan)
     drifts: np.ndarray = _per_path(np.float64, np.nan)
     n_jumps: np.ndarray = _per_path(np.int64, 0)
-    zero_mass: np.ndarray = _per_path(bool, False)
-    persist: np.ndarray = _per_path(bool, False, "t_grid")
+    # the local-time mass on (0, T] at each horizon T of t_grid
+    masses: np.ndarray = _per_path(np.float64, np.nan, "t_grid")
     max_persist: np.ndarray = _per_path(bool, False, "t_grid")
-    terminal_mass: np.ndarray = _per_path(np.float64, np.nan)
     mass_at_r: np.ndarray = _per_path(np.float64, np.nan)
     atoms: np.ndarray = _per_path(np.float64, np.nan)
     supports: np.ndarray = _per_path(np.float64, np.nan)
     L_incr: np.ndarray = _per_path(np.float64, np.nan)
     L_ref: np.ndarray = _per_path(np.float64, np.nan)
-    stat_valid: np.ndarray = _per_path(bool, False)
     covers_window: np.ndarray = _per_path(bool, False)
     ratio_counts: np.ndarray = _per_path(np.int64, 0, 2)
     loglog_counts: np.ndarray = _per_path(np.int64, 0, "loglog_thresholds")
@@ -419,6 +423,11 @@ class EnsembleSummary:
         return int(np.count_nonzero(self.ok))
 
     @property
+    def persist(self) -> np.ndarray:
+        """The survival event {mass on (0, T] <= threshold}; a failed row's NaN gives False."""
+        return self.masses <= self.config.threshold
+
+    @property
     def n_marks_pooled(self) -> int:
         """Interior jumps of the ok paths: the Hill fit's n_marks."""
         return int(self.n_marks[self.ok].sum())
@@ -437,12 +446,13 @@ def _compute_path(config: ExperimentConfig, index: int) -> tuple[dict, JumpFunct
 
     profile = estimate_local_time(path, config.epsilon)
     del path
-    mass_at_r, terminal_mass = self_similarity_masses(profile, config.test_r)
+    # the grid points of the horizons, as persistence_indicator reads them
+    k = horizon_stretches(config.t_grid, profile.delta, profile.grid_size)[0]
+    mass_at_r, _ = self_similarity_masses(profile, config.test_r)
     values = dict(
         seeds=seed,
-        persist=persistence_indicator(profile, config.t_grid, config.threshold),
+        masses=profile.mass_at(k),
         max_persist=max_persist,
-        terminal_mass=terminal_mass,
         mass_at_r=mass_at_r,
         atoms=atom_diagnostic(profile),
         supports=support_diagnostic(profile),
@@ -450,16 +460,20 @@ def _compute_path(config: ExperimentConfig, index: int) -> tuple[dict, JumpFunct
     return values, invert_profile(profile)
 
 
+def _shape(config: ExperimentConfig, name: str, n_paths: int) -> tuple[int, ...]:
+    """Shape of the per-path column ``name`` over n_paths rows."""
+    width = _COLUMN_META[name]["width"]
+    if isinstance(width, str):
+        width = len(getattr(config, width))
+    return (n_paths,) if width is None else (n_paths, width)
+
+
 def _new_column(config: ExperimentConfig, name: str, n_paths: int) -> np.ndarray:
     """Column ``name`` for n_paths rows, each holding the column's fill value."""
     meta = _COLUMN_META[name]
     if meta.get("pooled"):
         return np.empty(0, dtype=meta["dtype"])
-    width = meta["width"]
-    if isinstance(width, str):
-        width = len(getattr(config, width))
-    shape = (n_paths,) if width is None else (n_paths, width)
-    return np.full(shape, meta["fill"], dtype=meta["dtype"])
+    return np.full(_shape(config, name, n_paths), meta["fill"], dtype=meta["dtype"])
 
 
 def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -> dict:
@@ -471,14 +485,9 @@ def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -
     """
     block = JumpBlock(Ls)
     caps = block.caps
-    columns = dict(
-        caps=caps,
-        drifts=block.drifts,
-        n_jumps=np.diff(block.offsets),
-        zero_mass=caps == 0.0,
-    )
+    columns = dict(caps=caps, drifts=block.drifts, n_jumps=np.diff(block.offsets))
     pairs = stationarity_increments(Ls, config.test_x0, config.test_h)
-    columns.update(L_incr=pairs[:, 0], L_ref=pairs[:, 1], stat_valid=~np.isnan(pairs[:, 0]))
+    columns.update(L_incr=pairs[:, 0], L_ref=pairs[:, 1])
 
     # the jump at level 0, when present, is the censored leading stretch;
     # it is kept out of the mark pool and the dump like any other censoring
@@ -544,29 +553,39 @@ def _scatter(config: ExperimentConfig, name: str, rows: np.ndarray, values) -> n
     return column
 
 
+def _block_columns(config: ExperimentConfig, paths: list) -> dict:
+    """Every column of ``paths``, a list of (index, values, L), but ``ok``.
+
+    ``_compute_block`` computes the columns that come from the jump
+    functions; each other column stacks the paths' profile values.
+    """
+    columns = _compute_block(config, [i for i, _, _ in paths], [L for _, _, L in paths])
+    for f in _COLUMNS:
+        if f.name not in columns and f.name != "ok":
+            stacked = np.array([values[f.name] for _, values, _ in paths], f.metadata["dtype"])
+            columns[f.name] = stacked.reshape(_shape(config, f.name, len(paths)))
+    return columns
+
+
 def _compute_blocks(
     config: ExperimentConfig, paths: list, failures: list[tuple[int, str]]
-) -> tuple[list[tuple[int, dict]], list[dict]]:
-    """The jump-function columns of ``paths``, a list of (index, values, L).
+) -> list[dict]:
+    """The columns of ``paths``, a list of (index, values, L), in blocks.
 
-    One ``_compute_block`` call covers all of them; when it raises, each
+    One ``_block_columns`` call covers all of them; when it raises, each
     path runs alone, so that only the offending path is added to
-    ``failures``.  Returns the (index, values) of the paths that passed and
-    their blocks of columns.
+    ``failures``.
     """
     try:
-        blocks = [_compute_block(config, [i for i, _, _ in paths], [L for _, _, L in paths])]
+        return [_block_columns(config, paths)]
     except Exception:  # noqa: BLE001 - isolated below, path by path
-        blocks, kept = [], []
-        for index, values, L in paths:
+        blocks = []
+        for path in paths:
             try:
-                blocks.append(_compute_block(config, [index], [L]))
+                blocks.append(_block_columns(config, [path]))
             except Exception as exc:  # noqa: BLE001 - crash isolation by contract
-                failures.append((index, f"{type(exc).__name__}: {exc}"))
-                continue
-            kept.append((index, values, L))
-        paths = kept
-    return [(index, values) for index, values, _ in paths], blocks
+                failures.append((path[0], _error_payload(exc)["error"]))
+        return blocks
 
 
 def _path_blocks(
@@ -583,7 +602,7 @@ def _path_blocks(
         try:
             values, L = _compute_path(config, index)
         except Exception as exc:  # noqa: BLE001 - crash isolation by contract
-            failures.append((index, f"{type(exc).__name__}: {exc}"))
+            failures.append((index, _error_payload(exc)["error"]))
             continue
         held.append((index, values, L))
         held_jumps += L.n_jumps
@@ -596,22 +615,19 @@ def _path_blocks(
 def _compute_chunk(
     config: ExperimentConfig, lo: int, hi: int
 ) -> tuple[dict[str, np.ndarray], list[tuple[int, str]]]:
-    """Columns for path indices [lo, hi); failures isolated per path."""
+    """Columns for path indices [lo, hi); failures isolated per path.
+
+    Each column's blocks are concatenated into the rows of the paths that did not fail.
+    """
     failures: list[tuple[int, str]] = []
-    done: list[tuple[int, dict]] = []
-    blocks: list[dict] = []
-    for held in _path_blocks(config, lo, hi, failures):
-        kept, computed = _compute_blocks(config, held, failures)
-        done += kept
-        blocks += computed
+    blocks = [block for held in _path_blocks(config, lo, hi, failures)
+              for block in _compute_blocks(config, held, failures)]
     failures.sort()
 
     rows = {f.name: _new_column(config, f.name, hi - lo) for f in _COLUMNS}
-    ok = [index - lo for index, _ in done]
-    rows["ok"][ok] = True
-    for row, (_, values) in zip(ok, done):
-        for name, value in values.items():
-            rows[name][row] = value
+    ok = rows["ok"]
+    ok[:] = True
+    ok[[index - lo for index, _ in failures]] = False
     for name in blocks[0] if blocks else ():
         parts = [block[name] for block in blocks]
         if _COLUMN_META[name].get("pooled"):
@@ -770,21 +786,18 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _fit_payload(curve, fit_range, target_kappa: float) -> dict:
+def _error_payload(exc: Exception) -> dict:
+    """The payload of an analysis that raised: its error type and message."""
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _fit_payload(curve, fit_range, target_kappa: float, kind: str) -> dict:
     try:
         fit = fit_exponent(curve, *(fit_range or ()))
     except (FitRangeError, ValueError) as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
-    return {
-        "kappa_hat": fit.kappa_hat,
-        "c_hat": fit.c_hat,
-        "stderr_kappa": fit.stderr_kappa,
-        "fit_range": list(fit.fit_range),
-        "r_squared": fit.r_squared,
-        "n_points": fit.n_points,
-        "target_kappa": target_kappa,
-        "abs_error": abs(fit.kappa_hat - target_kappa),
-    }
+        return _error_payload(exc) | {"kind": kind}
+    return asdict(fit) | {"target_kappa": target_kappa,
+                          "abs_error": abs(fit.kappa_hat - target_kappa), "kind": kind}
 
 
 def _curve_rows(curve) -> Iterable[Sequence]:
@@ -820,16 +833,13 @@ def _stage_persist(summary: EnsembleSummary, out_dir: str) -> None:
     curve_path, fit_path, maxcurve_path, maxfit_path = _stage_paths("persist", out_dir)
     curve = survival_from_events(summary.persist[ok], cfg.t_grid, cfg.threshold)
     _write_csv(curve_path, _CURVE_HEADER, _curve_rows(curve))
-    fit_payload = _fit_payload(curve, cfg.fit_range, target)
-    fit_payload["kind"] = "local-time-persistence"
-    _write_json(fit_path, fit_payload)
+    _write_json(fit_path, _fit_payload(curve, cfg.fit_range, target, "local-time-persistence"))
 
     max_curve = survival_from_events(summary.max_persist[ok], cfg.t_grid, 1.0)
     _write_csv(maxcurve_path, _CURVE_HEADER, _curve_rows(max_curve))
     t_max = cfg.t_grid[-1]
-    max_payload = _fit_payload(max_curve, (t_max / 8.0, t_max), target)
-    max_payload["kind"] = "max-persistence"
-    _write_json(maxfit_path, max_payload)
+    _write_json(maxfit_path, _fit_payload(max_curve, (t_max / 8.0, t_max), target,
+                                          "max-persistence"))
 
 
 def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
@@ -839,7 +849,6 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
     n_marks = summary.n_marks_pooled
     floor = cfg.mark_floor
 
-    hill_payload: dict
     k = cfg.hill_k
     if k is None:
         # order statistics down to three resolution floors: low enough to
@@ -849,26 +858,20 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
         k = int(np.count_nonzero(marks > _hill_pool_floor(cfg)))
     try:
         fit = hill_tail_index(marks, k, n_marks)
-        hill_payload = {
-            "exponent": fit.exponent,
-            "constant": fit.constant,
-            "stderr": fit.stderr,
-            "k_used": fit.k_used,
+        hill_payload = asdict(fit) | {
             "method": fit.method.value,
             "n_marks_pooled": n_marks,
             "target_exponent": target,
             "abs_error": abs(fit.exponent - target),
         }
     except (InsufficientDataError, ValueError) as exc:
-        hill_payload = {"error": f"{type(exc).__name__}: {exc}"}
+        hill_payload = _error_payload(exc)
 
     covers = summary.covers_window
     n_covering = int(np.count_nonzero(covers))
-    ratio_payload: dict
-    loglog_payload: dict
     if n_covering == 0:
-        ratio_payload = {"error": "InsufficientDataError: no path covers the level window"}
-        loglog_payload = {"error": "InsufficientDataError: no path covers the level window"}
+        ratio_payload = loglog_payload = _error_payload(
+            InsufficientDataError("no path covers the level window"))
     else:
         expected = 4.0**target
         try:
@@ -885,7 +888,7 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
                 "n_paths_used": n_covering,
             }
         except InsufficientDataError as exc:
-            ratio_payload = {"error": f"{type(exc).__name__}: {exc}"}
+            ratio_payload = _error_payload(exc)
         thresholds = np.asarray(cfg.loglog_thresholds)
         means = summary.loglog_counts[covers].mean(axis=0) / cfg.x_window
         positive = means > 0.0
@@ -905,12 +908,11 @@ def _stage_excursions(summary: EnsembleSummary, out_dir: str) -> None:
                 "abs_error": abs(llfit.exponent - target),
             }
         except (InsufficientDataError, ValueError) as exc:
-            loglog_payload = {"error": f"{type(exc).__name__}: {exc}"}
+            loglog_payload = _error_payload(exc)
 
     heavy_ok = summary.heavy_valid
-    heavy_payload: dict
     if np.count_nonzero(heavy_ok) == 0:
-        heavy_payload = {"error": "InsufficientDataError: no path has unit mass"}
+        heavy_payload = _error_payload(InsufficientDataError("no path has unit mass"))
     else:
         c1 = summary.heavy_counts[heavy_ok, 0]
         c2 = summary.heavy_counts[heavy_ok, 1]
@@ -943,43 +945,23 @@ def _stage_invariants(summary: EnsembleSummary, out_dir: str) -> None:
     for name in cfg.tests:
         try:
             if name == "self_similarity":
-                reports.append(
-                    self_similarity_test_from_values(
-                        summary.mass_at_r[ok], summary.terminal_mass[ok],
-                        cfg.test_r, cfg.hurst,
-                    )
-                )
+                rep = self_similarity_test_from_values(
+                    summary.mass_at_r[ok], summary.caps[ok], cfg.test_r, cfg.hurst)
             elif name == "increment_stationarity":
-                reports.append(
-                    stationarity_test_from_values(
-                        summary.L_incr[ok], summary.L_ref[ok], summary.stat_valid[ok]
-                    )
-                )
-            elif name == "bi_scale":
-                reports.append(
-                    bi_scale_test_from_counts(
-                        summary.biscale_raw[ok], summary.biscale_scaled[ok],
-                        summary.covers_window[ok],
-                    )
-                )
+                rep = stationarity_test_from_values(
+                    summary.L_incr[ok], summary.L_ref[ok], ~np.isnan(summary.L_incr[ok]))
+            else:  # "bi_scale"; the config admits no other name
+                rep = bi_scale_test_from_counts(
+                    summary.biscale_raw[ok], summary.biscale_scaled[ok], summary.covers_window[ok])
+            reports.append(rep)
         except (InsufficientMassError, ValueError) as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
+            errors[name] = _error_payload(exc)["error"]
     flags = bonferroni(reports) if reports else []
     payload = {
         "level": REJECT_LEVEL,
         "n_tests": len(reports),
-        "battery": [
-            {
-                "name": rep.name,
-                "statistic": rep.statistic,
-                "p_value": rep.p_value,
-                "n1": rep.n1,
-                "n2": rep.n2,
-                "reject_at_01": rep.reject_at_01,
-                "reject_bonferroni": flag,
-            }
-            for rep, flag in zip(reports, flags)
-        ],
+        "battery": [asdict(rep) | {"reject_bonferroni": flag}
+                    for rep, flag in zip(reports, flags)],
         "errors": errors,
     }
     (invariance_path,) = _stage_paths("invariants", out_dir)
@@ -1003,7 +985,6 @@ class RunManifest:
     outputs: dict
     counters: dict
     timings: dict
-    payload: dict
 
     def path(self) -> str:
         return os.path.join(self.out_dir, "manifest.json")
@@ -1056,7 +1037,6 @@ def _write_manifest(
         outputs=outputs,
         counters=counters,
         timings=timings,
-        payload=payload,
     )
     _write_json(manifest.path(), payload)
     return manifest
@@ -1091,34 +1071,32 @@ def run_experiment(
         _STAGES[name](summary, out_dir)
         timings[name] = time.perf_counter() - t0
 
-    cfg = config
+    ok = summary.ok
     counters = {
-        "n_paths": cfg.n_paths,
+        "n_paths": config.n_paths,
         "n_ok": summary.n_ok,
         "n_failed": len(summary.failures),
-        "zero_mass_paths": int(np.count_nonzero(summary.zero_mass[summary.ok])),
-        "stationarity_excluded": int(np.count_nonzero(summary.ok) - np.count_nonzero(summary.stat_valid[summary.ok])),
-        "window_excluded": int(np.count_nonzero(summary.ok) - np.count_nonzero(summary.covers_window[summary.ok])),
+        "zero_mass_paths": int(np.count_nonzero(summary.caps[ok] == 0.0)),
+        "stationarity_excluded": int(np.count_nonzero(np.isnan(summary.L_incr[ok]))),
+        "window_excluded": summary.n_ok - int(np.count_nonzero(summary.covers_window[ok])),
         "marks_pooled": summary.n_marks_pooled,
-        "mean_drift": (
-            float(np.nanmean(summary.drifts[summary.ok])) if summary.n_ok else None
-        ),
+        "mean_drift": float(np.nanmean(summary.drifts[ok])) if summary.n_ok else None,
     }
     resolved = {
-        "delta": cfg.delta,
-        "epsilon": cfg.epsilon,
-        "mark_floor": cfg.mark_floor,
-        "ratio_r": cfg.ratio_r_resolved,
-        "m0": cfg.m0_resolved,
-        "beta": cfg.beta,
-        "loglog_thresholds": list(cfg.loglog_thresholds),
+        "delta": config.delta,
+        "epsilon": config.epsilon,
+        "mark_floor": config.mark_floor,
+        "ratio_r": config.ratio_r_resolved,
+        "m0": config.m0_resolved,
+        "beta": config.beta,
+        "loglog_thresholds": list(config.loglog_thresholds),
     }
-    if cfg.family is Family.ROSENBLATT:
+    if config.family is Family.ROSENBLATT:
         resolved["rosenblatt_calibration"] = rosenblatt_calibration(
-            cfg.hurst, cfg.grid_size * cfg.micro_factor
+            config.hurst, config.grid_size * config.micro_factor
         )
     return _write_manifest(
-        cfg, out_dir, stages, files, counters, timings,
+        config, out_dir, stages, files, counters, timings,
         resolved=resolved,
         failures=[{"index": i, "error": m} for i, m in summary.failures],
     )

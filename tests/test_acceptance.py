@@ -293,14 +293,14 @@ def _battery(summary, hurst):
     ok = summary.ok
     cfg = summary.config
     ss = self_similarity_test_from_values(
-        summary.mass_at_r[ok], summary.terminal_mass[ok], cfg.test_r, hurst)
+        summary.mass_at_r[ok], summary.caps[ok], cfg.test_r, hurst)
     st = stationarity_test_from_values(
-        summary.L_incr[ok], summary.L_ref[ok], summary.stat_valid[ok])
+        summary.L_incr[ok], summary.L_ref[ok], ~np.isnan(summary.L_incr[ok]))
     bs = bi_scale_test_from_counts(
         summary.biscale_raw[ok], summary.biscale_scaled[ok],
         summary.covers_window[ok])
     wrong_h = self_similarity_test_from_values(
-        summary.mass_at_r[ok], summary.terminal_mass[ok], cfg.test_r,
+        summary.mass_at_r[ok], summary.caps[ok], cfg.test_r,
         hurst + 0.2)
     wrong_beta = bi_scale_test_from_counts(
         summary.biscale_raw[ok], summary.biscale_scaled_alt[ok],

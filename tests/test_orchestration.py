@@ -302,9 +302,9 @@ _DEFAULTS_DICT = {
 
 @pytest.mark.parametrize("raw, to_dict, digest", [
     (_raw(), _DEFAULTS_DICT,
-     "cc8bfe1c0ca7dd1b7ff98f1c3bf0617a4e7feb74256f7b5d6b06f67a760e14ec"),
+     "8697af653ae9e47bfee8a31218eb1af0abf809ce7528b0941abf91719d087bc9"),
     (_EVERY_KEY, _EVERY_KEY,
-     "189aee0067661f58a424120a00141d6a8eb6b35a305fed689c5edb6da2de3507"),
+     "c1b621517f6dc80a49c06f3dba04de71687f69f650a346bcdd533b283528d62a"),
 ], ids=["defaults", "every-key"])
 def test_config_dict_and_hash_are_pinned(raw, to_dict, digest):
     cfg = ExperimentConfig.from_dict(raw)
@@ -312,6 +312,32 @@ def test_config_dict_and_hash_are_pinned(raw, to_dict, digest):
     # the key order too: the manifest writes this dict as it comes
     assert json.dumps(cfg.to_dict()) == json.dumps(to_dict)
     assert cfg.config_hash() == digest
+
+
+def _leaves(raw: dict, section: tuple = ()):
+    """(JSON path, value) of each key of a raw config, sections flattened."""
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, (*section, key))
+        else:
+            yield (*section, key), value
+
+
+# a second value of each key, each valid alongside the rest of _EVERY_KEY
+_OTHER_VALUE = {**dict(_leaves(_DEFAULTS_DICT)), ("process", "hurst"): 0.875}
+
+
+@pytest.mark.parametrize("path", [p for p, _ in _leaves(_EVERY_KEY) if p != ("schema_version",)],
+                         ids=".".join)
+def test_config_hash_identifies_the_experiment_not_the_run(path):
+    """The worker count and the output directory move no output, so they
+    leave the hash alone; every other key changes it."""
+    raw = json.loads(json.dumps(_EVERY_KEY))
+    (raw[path[0]] if len(path) == 2 else raw)[path[-1]] = _OTHER_VALUE[path]
+    base, changed = ExperimentConfig.from_dict(_EVERY_KEY), ExperimentConfig.from_dict(raw)
+    assert changed.to_dict() != base.to_dict()
+    same = changed.config_hash() == base.config_hash()
+    assert same == (path in (("workers",), ("out_dir",)))
 
 
 _BM_600 = {"n_paths": 600,
@@ -464,9 +490,9 @@ def test_run_paths_abort_skips_chunks_not_started(monkeypatch, tmp_path):
 def test_run_paths_columns_match_the_library(monkeypatch):
     """Each run_paths column against the public per-path functions.
 
-    Some columns (seeds, caps, drifts, n_jumps, zero_mass, atoms,
-    supports) never reach a stage file, so the stage checksums cannot catch
-    a mis-wired one.  Path 5 fails and must keep the fill values.
+    Some columns (seeds, drifts, n_jumps, atoms, supports) never reach a
+    stage file, so the stage checksums cannot catch a mis-wired one.  Path
+    5 fails and must keep the fill values.
     """
     _assert_columns_match_the_library(monkeypatch, process=None, n_paths=8)
 
@@ -502,6 +528,7 @@ def _assert_columns_match_the_library(monkeypatch, process, n_paths):
         rescale_empp,
         support_diagnostic,
     )
+    from zeroset.localtime import grid_index
     from zeroset.pointprocess import window_exceedance_counts
 
     real = orch.sample
@@ -520,15 +547,16 @@ def _assert_columns_match_the_library(monkeypatch, process, n_paths):
     n_t, n_thr = len(cfg.t_grid), len(cfg.loglog_thresholds)
     assert cfg.hill_k is None
     tau = HILL_FLOOR_MULTIPLE * cfg.mark_floor
-    rows = []
+    rows, persist = [], []
     pooled = {"marks_pool": [], "dump_index": [], "dump_locs": [], "dump_sizes": []}
     for i in range(cfg.n_paths):
         if i == failed:
+            persist.append([False] * n_t)
             rows.append(dict(
-                ok=False, seeds=0, caps=nan, drifts=nan, n_jumps=0, zero_mass=False,
-                persist=[False] * n_t, max_persist=[False] * n_t, terminal_mass=nan,
+                ok=False, seeds=0, caps=nan, drifts=nan, n_jumps=0,
+                masses=[nan] * n_t, max_persist=[False] * n_t,
                 mass_at_r=nan, atoms=nan, supports=nan, L_incr=nan, L_ref=nan,
-                stat_valid=False, covers_window=False, ratio_counts=[0, 0],
+                covers_window=False, ratio_counts=[0, 0],
                 loglog_counts=[0] * n_thr, biscale_raw=0, biscale_scaled=0,
                 biscale_scaled_alt=0, heavy_valid=False, heavy_counts=[-1, -1],
                 n_marks=0,
@@ -543,16 +571,15 @@ def _assert_columns_match_the_library(monkeypatch, process, n_paths):
         r, m0, r_t = cfg.ratio_r_resolved, cfg.m0_resolved, cfg.test_r
         row = dict(
             ok=True, seeds=seed, caps=profile.total_mass, drifts=L.drift,
-            n_jumps=L.n_jumps, zero_mass=cap == 0.0,
-            persist=[persistence_indicator(profile, T, cfg.threshold) for T in cfg.t_grid],
+            n_jumps=L.n_jumps,
+            masses=profile.mass_at(grid_index(cfg.t_grid, cfg.delta, cfg.grid_size)),
             max_persist=[max_persistence_indicator(path, T) for T in cfg.t_grid],
-            terminal_mass=profile.total_mass,
             mass_at_r=profile.cumulative[round(r_t * cfg.grid_size)],
             atoms=atom_diagnostic(profile), supports=support_diagnostic(profile),
-            stat_valid=cap >= x0 + 2.0 * h, covers_window=cap >= xw,
-            heavy_valid=cap >= 1.0,
+            covers_window=cap >= xw, heavy_valid=cap >= 1.0,
         )
-        if row["stat_valid"]:
+        persist.append([persistence_indicator(profile, T, cfg.threshold) for T in cfg.t_grid])
+        if cap >= x0 + 2.0 * h:
             row["L_incr"] = L.evaluate(x0 + h) - L.evaluate(x0)
             row["L_ref"] = L.evaluate(x0 + 2.0 * h) - L.evaluate(x0 + h)
         else:
@@ -595,12 +622,33 @@ def _assert_columns_match_the_library(monkeypatch, process, n_paths):
         actual = getattr(summary, name)
         assert actual.shape == expected[name].shape, name
         np.testing.assert_array_equal(actual, expected[name], err_msg=name)
+    # the survival event, formed from the masses
+    np.testing.assert_array_equal(summary.persist, np.array(persist))
     assert summary.seeds.dtype == np.uint64
     assert summary.persist.dtype == bool
     assert summary.heavy_counts.dtype == np.int64
     # the paths reach both sides of each validity cut
-    for name in ("stat_valid", "covers_window", "heavy_valid"):
-        assert 0 < np.count_nonzero(getattr(summary, name)) < summary.n_ok, name
+    for name, valid in (("stationarity", ~np.isnan(summary.L_incr)),
+                        ("covers_window", summary.covers_window),
+                        ("heavy_valid", summary.heavy_valid)):
+        assert 0 < np.count_nonzero(valid) < summary.n_ok, name
+
+
+def test_the_record_does_not_depend_on_the_threshold():
+    """A path's record holds its masses, and ``persist`` applies the
+    threshold to them: two thresholds give the same record bit for bit."""
+    cfg = _config(n_paths=16)
+    one, quarter = run_paths(cfg, workers=1), run_paths(cfg.replace(threshold=0.25), workers=1)
+    for f in fields(EnsembleSummary):
+        if f.name not in ("config", "failures"):
+            a, b = getattr(one, f.name), getattr(quarter, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    for summary in (one, quarter):
+        np.testing.assert_array_equal(summary.persist, summary.masses <= summary.config.threshold)
+    assert (one.persist != quarter.persist).any()
+    # the event holds at a mass equal to the threshold
+    largest = one.config.replace(threshold=float(one.masses.max()))
+    assert replace(one, config=largest).persist.all()
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +1020,8 @@ def test_one_path_per_half_records_invariance_errors(tmp_path):
     # premise: both paths enter every test, so each test is refused for
     # having one value per sample, not for missing mass
     summary = run_paths(cfg)
-    assert summary.ok.all() and summary.stat_valid.all() and summary.covers_window.all()
+    assert summary.ok.all() and not np.isnan(summary.L_incr).any()
+    assert summary.covers_window.all()
     run_experiment(cfg, out_dir=str(tmp_path / "run"))
     inv = json.loads((tmp_path / "run" / "invariance.json").read_text())
     assert inv["battery"] == []
