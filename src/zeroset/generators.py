@@ -100,10 +100,12 @@ class ProcessSpec:
 
 @dataclass
 class SamplePath:
-    """One realised path on the uniform grid k * delta, k = 0..n.
+    """One realised path on the uniform grid k * delta, k = 0..n, or a block of them.
 
     ``values[0]`` is exactly 0.  ``calibration`` records the variance-matching
     constant applied by the Rosenblatt scheme (1.0 for the exact families).
+    A block of paths of one spec has a row of values per path, each
+    starting at 0, and one seed per path.
     """
 
     spec: ProcessSpec
@@ -112,10 +114,12 @@ class SamplePath:
     calibration: float = 1.0
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or len(self.values) != self.spec.grid_size + 1:
-            raise ValueError("values must be a 1-d array of length grid_size + 1")
-        if self.values[0] != 0.0:
+        self.values = values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.spec.grid_size + 1:
+            raise ValueError("values must be a 1-d array of length grid_size + 1, or rows of one")
+        if values.ndim == 2 and np.shape(self.seed) != values.shape[:1]:
+            raise ValueError("a block of paths must have one seed per row")
+        if (values[0] != 0.0) if values.ndim == 1 else (values[:, 0] != 0.0).any():
             raise ValueError("paths must start at zero")
 
     @property

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._kolmogorov import ks_2samp_asymp
 from .errors import InsufficientMassError
-from .localtime import JumpBlock, JumpFunction, LocalTimeProfile
+from .localtime import JumpBlock, JumpFunction, LocalTimeProfile, ProfileBlock
 from .pointprocess import MarkedPointSet, rescale_empp
 
 __all__ = [
@@ -107,11 +107,17 @@ def _filter_and_split(valid: np.ndarray, what: str) -> tuple[np.ndarray, np.ndar
     return first, second
 
 
-def self_similarity_masses(profile: LocalTimeProfile, r: float) -> tuple[float, float]:
-    """Profile mass at r * T_max and at T_max, the pair self-similarity relates."""
+def self_similarity_masses(profile: LocalTimeProfile | ProfileBlock, r: float):
+    """Profile mass at r * T_max and at T_max, the pair self-similarity relates.
+
+    A ``ProfileBlock`` gives a (k, 2) array of the pairs, one row per profile.
+    """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    return float(profile.mass_at(int(round(r * profile.grid_size)))), profile.total_mass
+    block = ProfileBlock.of(profile)
+    pairs = np.column_stack(
+        [block.mass_at(int(round(r * block.grid_size))), block.total_mass])
+    return tuple(pairs[0].tolist()) if block.single else pairs
 
 
 def stationarity_increments(L: JumpFunction | Sequence[JumpFunction], x0: float, h: float):
@@ -127,7 +133,7 @@ def stationarity_increments(L: JumpFunction | Sequence[JumpFunction], x0: float,
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
     top = x0 + 2.0 * h
-    block = JumpBlock(L)
+    block = JumpBlock.of(L)
     levels = np.array([x0, x0 + h, top])
     path = np.flatnonzero(block.caps >= top)
     values = block.values(path[:, None], levels, block.ranks(levels)[path])

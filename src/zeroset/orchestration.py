@@ -7,24 +7,27 @@ the master seed, every per-path computation is a pure function of
 are bit-identical for any worker count.  Nothing in the compute path reads
 the wall clock or OS entropy; timings appear only as manifest metadata.
 
-Per path the worker samples the process, takes the running-maximum
-events, estimates the local-time profile, reads the profile columns (the
-local-time masses at the horizons and at r T_max, atom and support
-diagnostics) and inverts the profile to a jump function.  It then reads
-every column that comes from the jump functions (caps, drifts, jump
-counts, validity flags, increments of the inverse, exceedance, bi-scale
-and heavy-subinterval counts, interior jump counts, and the pooled jump
-marks that the Hill fit can read) with one call per quantity on a block
-of paths: the whole chunk, or as many paths as hold BLOCK_JUMPS jumps.
-The block also stacks its paths' profile values.  If it raises, it runs
-again one path at a time, so that only the offending path fails.  Every
-value comes from the same library function that the object-level API
-uses, whose single form is a block of one, so each quantity has one
-implementation.  The columns are declared once, as the fields of
-``EnsembleSummary`` with their dtype, per-path width and fill value; a
-chunk concatenates its blocks' columns into its ok rows, and the chunks
-are concatenated in index order.  The threshold is applied at stage
-time: ``EnsembleSummary.persist`` forms the survival event from the
+A worker samples each path on its own, with its own seeded generator,
+and runs every later step on a block of paths: as many as hold
+BLOCK_POINTS grid points of path values (16 BM paths at 2^12, one fBM
+path at 2^16).  On a block of paths it takes the running-maximum events
+and estimates the local-time profiles; these are the only steps that read
+the values.  The profiles are held until they reach BLOCK_CELLS occupied
+cells (about 90 BM paths at 2^12, or 3 fBM paths at 2^16), and that block of
+profiles gives every other column with one call per quantity: the
+local-time masses at the horizons and at r T_max, the atom and support
+diagnostics, and, through one inversion into a ``JumpBlock``, the caps,
+drifts, jump counts, validity flags, increments of the inverse,
+exceedance, bi-scale and heavy-subinterval counts, interior jump counts
+and the pooled jump marks that the Hill fit can read.  If a block step
+raises, it runs again one path at a time, so that only the offending path
+fails.  Every value comes from the same library function that the
+object-level API uses, whose single form is a block of one, so each
+quantity has one implementation.  The columns are declared once, as the
+fields of ``EnsembleSummary`` with their dtype, per-path width and fill
+value; a chunk concatenates its blocks' columns into its ok rows, and the
+chunks are concatenated in index order.  The threshold is applied at
+stage time: ``EnsembleSummary.persist`` forms the survival event from the
 masses.  Stage writers turn the columns into CSV and JSON files; the
 manifest records the config hash and a checksum of every file written.
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -49,6 +53,7 @@ from .errors import ConfigError, FitRangeError, InsufficientDataError, Insuffici
 from .generators import (
     Family,
     ProcessSpec,
+    SamplePath,
     derive_path_seed,
     rosenblatt_calibration,
     sample,
@@ -66,7 +71,7 @@ from .invariance import (
 from .localtime import (
     DEFAULT_C_EPSILON,
     JumpBlock,
-    JumpFunction,
+    ProfileBlock,
     atom_diagnostic,
     default_epsilon,
     estimate_local_time,
@@ -107,12 +112,16 @@ TOOLKIT_VERSION = "0.1.0"
 
 MAX_FAILURE_FRACTION = 0.01
 CHUNK_TARGET = 256
-# jumps a chunk holds before it computes their columns: a chunk of BM paths
-# at 2^12 (about 25 jumps each) is one block, while fBM paths at 2^16 (about
-# 630 each) come about 13 to a block.  Held as one block, a chunk of those
-# fBM paths (about 160k jumps) raised a round's peak RSS by about 3.5 MiB,
-# and blocks of 2^14 jumps by about 1.2 MiB.
-BLOCK_JUMPS = 2**13
+# occupied cells a chunk's profiles hold before they are inverted and their
+# columns computed: BM paths at 2^12 (about 46 cells and 22 jumps each) come
+# about 90 to a block, fBM paths at 2^16 (about 1400 cells and 640 jumps
+# each) about 3.  A block has no more jumps than cells, and its inversion
+# holds a few arrays of one entry per cell: at 2^14 cells a BM round's peak
+# RSS rose by about 1 MiB more than at 2^12, for no gain in time.
+BLOCK_CELLS = 2**12
+# grid points of path values a block of paths holds: 16 BM paths at 2^12,
+# 4 Rosenblatt paths at 2^14, 1 fBM path at 2^16 (512 KiB of values)
+BLOCK_POINTS = 2**16
 
 # Ceilings of the config's size fields, far above any run the code is sized
 # for: the acceptance gate draws at most 2^16 steps, 2^18 micro-points and
@@ -437,56 +446,30 @@ _COLUMNS = tuple(f for f in fields(EnsembleSummary) if "dtype" in f.metadata)
 _COLUMN_META = {f.name: f.metadata for f in _COLUMNS}
 
 
-def _compute_path(config: ExperimentConfig, index: int) -> tuple[dict, JumpFunction]:
-    """One path's profile values, keyed by their columns, and its jump function."""
-    spec = config.spec()
-    seed = derive_path_seed(config.master_seed, index)
-    path = sample(spec, seed)
-    max_persist = max_persistence_indicator(path, config.t_grid)
-
-    profile = estimate_local_time(path, config.epsilon)
-    del path
-    # the grid points of the horizons, as persistence_indicator reads them
-    k = horizon_stretches(config.t_grid, profile.delta, profile.grid_size)[0]
-    mass_at_r, _ = self_similarity_masses(profile, config.test_r)
-    values = dict(
-        seeds=seed,
-        masses=profile.mass_at(k),
-        max_persist=max_persist,
-        mass_at_r=mass_at_r,
-        atoms=atom_diagnostic(profile),
-        supports=support_diagnostic(profile),
-    )
-    return values, invert_profile(profile)
-
-
-def _shape(config: ExperimentConfig, name: str, n_paths: int) -> tuple[int, ...]:
-    """Shape of the per-path column ``name`` over n_paths rows."""
-    width = _COLUMN_META[name]["width"]
-    if isinstance(width, str):
-        width = len(getattr(config, width))
-    return (n_paths,) if width is None else (n_paths, width)
-
-
 def _new_column(config: ExperimentConfig, name: str, n_paths: int) -> np.ndarray:
     """Column ``name`` for n_paths rows, each holding the column's fill value."""
     meta = _COLUMN_META[name]
     if meta.get("pooled"):
         return np.empty(0, dtype=meta["dtype"])
-    return np.full(_shape(config, name, n_paths), meta["fill"], dtype=meta["dtype"])
+    width = meta["width"]
+    if isinstance(width, str):
+        width = len(getattr(config, width))
+    shape = (n_paths,) if width is None else (n_paths, width)
+    return np.full(shape, meta["fill"], dtype=meta["dtype"])
 
 
-def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -> dict:
+def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls) -> dict:
     """The columns that come from the jump functions of a block of paths.
 
-    ``Ls[p]`` is the jump function of path ``indices[p]``.  Each count is one
-    call of its library function on the whole block, which returns one row
-    per path; a row that the path's mass cap does not reach keeps its fill.
+    ``Ls`` holds the jump function of each path of ``indices``, as a
+    ``JumpBlock`` or a sequence of functions.  Each count is one call of its
+    library function on the whole block, which returns one row per path; a
+    row that the path's mass cap does not reach keeps its fill.
     """
-    block = JumpBlock(Ls)
+    block = JumpBlock.of(Ls)
     caps = block.caps
     columns = dict(caps=caps, drifts=block.drifts, n_jumps=np.diff(block.offsets))
-    pairs = stationarity_increments(Ls, config.test_x0, config.test_h)
+    pairs = stationarity_increments(block, config.test_x0, config.test_h)
     columns.update(L_incr=pairs[:, 0], L_ref=pairs[:, 1])
 
     # the jump at level 0, when present, is the censored leading stretch;
@@ -503,7 +486,7 @@ def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -
     rest = rest[np.lexsort((-sizes[rest], owner[rest]))]
     pooled[rest[np.diff(owner[rest], prepend=-1) != 0]] = True
     columns.update(
-        n_marks=np.bincount(owner[interior], minlength=len(Ls)),
+        n_marks=np.bincount(owner[interior], minlength=len(block)),
         marks_pool=sizes[pooled],
         dump_index=np.asarray(indices, dtype=np.int64)[owner[keep]],
         dump_locs=locs[keep],
@@ -513,7 +496,7 @@ def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -
     xw, r_ratio = config.x_window, config.ratio_r_resolved
     covers, heavy_valid = caps >= xw, caps >= 1.0
     columns.update(covers_window=covers, heavy_valid=heavy_valid)
-    covering = [L for L, c in zip(Ls, covers) if c]
+    covering = block.select(covers)
     counts = window_exceedance_counts(
         covering, xw, (r_ratio, 4.0 * r_ratio) + config.loglog_thresholds
     )
@@ -528,8 +511,7 @@ def _compute_block(config: ExperimentConfig, indices: Sequence[int], Ls: list) -
     ).items():
         columns[name] = _scatter(config, name, covers, values)
     heavy = count_heavy_subintervals(
-        [L for L, h in zip(Ls, heavy_valid) if h], config.heavy_subdivisions, r_ratio
-    )
+        block.select(heavy_valid), config.heavy_subdivisions, r_ratio)
     columns["heavy_counts"] = _scatter(config, "heavy_counts", heavy_valid, heavy)
     return columns
 
@@ -553,63 +535,135 @@ def _scatter(config: ExperimentConfig, name: str, rows: np.ndarray, values) -> n
     return column
 
 
-def _block_columns(config: ExperimentConfig, paths: list) -> dict:
-    """Every column of ``paths``, a list of (index, values, L), but ``ok``.
+def _sample_blocks(
+    config: ExperimentConfig, lo: int, hi: int, failures: list[tuple[int, str]]
+) -> Iterable[tuple[np.ndarray, SamplePath]]:
+    """Paths [lo, hi) drawn, as (indices, block of paths) pairs.
 
-    ``_compute_block`` computes the columns that come from the jump
-    functions; each other column stacks the paths' profile values.
+    Each path is sampled on its own; a path that raises is added to
+    ``failures``.  A block holds at most BLOCK_POINTS grid points: its
+    paths are copied into the rows of one array, which the next block
+    overwrites, so each block must be used before the next is drawn.  A
+    block of one path is a view of that path's values.
     """
-    columns = _compute_block(config, [i for i, _, _ in paths], [L for _, _, L in paths])
-    for f in _COLUMNS:
-        if f.name not in columns and f.name != "ok":
-            stacked = np.array([values[f.name] for _, values, _ in paths], f.metadata["dtype"])
-            columns[f.name] = stacked.reshape(_shape(config, f.name, len(paths)))
-    return columns
+    spec = config.spec()
+    size = max(1, BLOCK_POINTS // config.grid_size)
+    rows = np.empty((size, config.grid_size + 1)) if size > 1 else None
+    indices, seeds = [], []
+
+    def block(values):
+        return (np.array(indices, dtype=np.int64),
+                SamplePath(spec, np.array(seeds, dtype=np.uint64), values[: len(indices)]))
+
+    for index in range(lo, hi):
+        seed = derive_path_seed(config.master_seed, index)
+        try:
+            values = sample(spec, seed).values
+        except Exception as exc:  # noqa: BLE001 - crash isolation by contract
+            failures.append((index, _error_payload(exc)["error"]))
+            continue
+        if rows is not None:
+            rows[len(indices)] = values
+        indices.append(index)
+        seeds.append(seed)
+        if len(indices) == size:
+            yield block(values[None] if rows is None else rows)
+            indices, seeds = [], []
+        # dropped before the next draw, which can then reuse its memory
+        values = None
+    if indices:
+        yield block(rows)
 
 
-def _compute_blocks(
-    config: ExperimentConfig, paths: list, failures: list[tuple[int, str]]
-) -> list[dict]:
-    """The columns of ``paths``, a list of (index, values, L), in blocks.
+def _profile_paths(config: ExperimentConfig, sampled: tuple) -> tuple:
+    """(indices, running-maximum events, local-time profiles) of a block of paths.
 
-    One ``_block_columns`` call covers all of them; when it raises, each
-    path runs alone, so that only the offending path is added to
-    ``failures``.
+    These are the only steps that read the paths' values.
+    """
+    indices, paths = sampled
+    return (indices, max_persistence_indicator(paths, config.t_grid),
+            estimate_local_time(paths, config.epsilon))
+
+
+def _sampled_path(sampled: tuple, p: int) -> tuple:
+    """Path p of a block of paths, as a block of its own."""
+    indices, paths = sampled
+    return indices[p : p + 1], SamplePath(paths.spec, paths.seed[p : p + 1], paths.values[p : p + 1])
+
+
+def _profiled_path(profiled: tuple, p: int) -> tuple:
+    """Path p of a block of profiled paths, as a block of its own."""
+    indices, max_persist, profile = profiled
+    rows = np.arange(len(indices)) == p
+    return indices[rows], max_persist[rows], profile.select(rows)
+
+
+def _isolated(compute, block: tuple, path, failures: list[tuple[int, str]]) -> list:
+    """``[compute(block)]``, or, when that raises, ``compute`` of each path alone.
+
+    ``block[0]`` holds the paths' indices and ``path(block, p)`` gives path p
+    as a block of its own; a path whose own call raises is added to
+    ``failures``, so that only the offending path fails.
     """
     try:
-        return [_block_columns(config, paths)]
+        return [compute(block)]
     except Exception:  # noqa: BLE001 - isolated below, path by path
-        blocks = []
-        for path in paths:
+        results = []
+        for p, index in enumerate(block[0].tolist()):
             try:
-                blocks.append(_block_columns(config, [path]))
+                results.append(compute(path(block, p)))
             except Exception as exc:  # noqa: BLE001 - crash isolation by contract
-                failures.append((path[0], _error_payload(exc)["error"]))
-        return blocks
+                failures.append((index, _error_payload(exc)["error"]))
+        return results
 
 
 def _path_blocks(
     config: ExperimentConfig, lo: int, hi: int, failures: list[tuple[int, str]]
-) -> Iterable[list]:
-    """Paths [lo, hi) as lists of (index, values, L), one per block.
+) -> Iterable[tuple]:
+    """Paths [lo, hi) profiled, as (indices, running-maximum events, ProfileBlock).
 
-    Each path is sampled, profiled and inverted on its own; a path that
-    raises is added to ``failures``.  A block ends once its paths hold
-    BLOCK_JUMPS jumps, and the last block ends the chunk.
+    Each block of paths is profiled as one.  A block of profiles ends once
+    they hold BLOCK_CELLS occupied cells, and the last one ends the chunk.
     """
-    held, held_jumps = [], 0
-    for index in range(lo, hi):
-        try:
-            values, L = _compute_path(config, index)
-        except Exception as exc:  # noqa: BLE001 - crash isolation by contract
-            failures.append((index, _error_payload(exc)["error"]))
-            continue
-        held.append((index, values, L))
-        held_jumps += L.n_jumps
-        if held_jumps >= BLOCK_JUMPS:
-            yield held
-            held, held_jumps = [], 0
-    yield held
+    held: list[tuple] = []
+
+    def block():
+        return (np.concatenate([indices for indices, _, _ in held]),
+                np.concatenate([max_persist for _, max_persist, _ in held]),
+                ProfileBlock.concatenate([profile for _, _, profile in held]))
+
+    for sampled in _sample_blocks(config, lo, hi, failures):
+        held += _isolated(functools.partial(_profile_paths, config), sampled,
+                          _sampled_path, failures)
+        # dropped before the next draw: a block of one path is a view of its values
+        del sampled
+        if sum(len(profile.occupied) for _, _, profile in held) >= BLOCK_CELLS:
+            yield block()
+            held = []
+    if held:
+        yield block()
+
+
+def _block_columns(config: ExperimentConfig, profiled: tuple) -> dict:
+    """Every column of a block of profiled paths but ``ok``.
+
+    The profiles are inverted into one ``JumpBlock``, whose columns
+    ``_compute_block`` computes; the other columns come from the profiles,
+    each with one library call on the whole block.
+    """
+    indices, max_persist, profile = profiled
+    columns = _compute_block(config, indices, invert_profile(profile))
+    # the grid points of the horizons, as persistence_indicator reads them
+    k = horizon_stretches(config.t_grid, profile.delta, profile.grid_size)[0]
+    columns.update(
+        seeds=profile.path_refs,
+        masses=profile.mass_at(k),
+        max_persist=max_persist,
+        mass_at_r=self_similarity_masses(profile, config.test_r)[:, 0],
+        atoms=atom_diagnostic(profile),
+        supports=support_diagnostic(profile),
+    )
+    return columns
 
 
 def _compute_chunk(
@@ -620,8 +674,9 @@ def _compute_chunk(
     Each column's blocks are concatenated into the rows of the paths that did not fail.
     """
     failures: list[tuple[int, str]] = []
-    blocks = [block for held in _path_blocks(config, lo, hi, failures)
-              for block in _compute_blocks(config, held, failures)]
+    compute = functools.partial(_block_columns, config)
+    blocks = [columns for profiled in _path_blocks(config, lo, hi, failures)
+              for columns in _isolated(compute, profiled, _profiled_path, failures)]
     failures.sort()
 
     rows = {f.name: _new_column(config, f.name, hi - lo) for f in _COLUMNS}
@@ -753,11 +808,10 @@ def _write_empp(path: str, index: np.ndarray, locs: np.ndarray, sizes: np.ndarra
         fh.write("path_id,x,m\n")
         for lo in range(0, len(index), EMPP_BLOCK_ROWS):
             block = slice(lo, lo + EMPP_BLOCK_ROWS)
-            fh.writelines(
-                f"{i},{x!r},{m!r}\n"
-                for i, x, m in zip(index[block].tolist(), locs[block].tolist(),
-                                   sizes[block].tolist())
-            )
+            rows = zip(map(str, index[block].tolist()), map(repr, locs[block].tolist()),
+                       map(repr, sizes[block].tolist()))
+            fh.write("\n".join(map(",".join, rows)))
+            fh.write("\n")
 
 
 def _nan_to_null(obj):

@@ -204,12 +204,12 @@ def max_persistence_indicator(path: SamplePath, T):
 
     The grid maximum over [0, T]; the unit barrier matches the scale
     normalisation of the samplers (unit variance at time 1).  One horizon
-    ``T`` gives a bool, a sequence of horizons a bool array.  Only the
-    values up to the largest requested horizon are read: one maximum per
-    stretch between consecutive requested grid points, accumulated over
-    those stretches.
+    ``T`` gives a bool, a sequence of horizons a bool array; a block of
+    paths gives one row of those per path.  Only the values up to the
+    largest requested horizon are read: one maximum per stretch between
+    consecutive requested grid points, accumulated over those stretches.
     """
     _, ends, starts, positions = horizon_stretches(T, path.delta, path.spec.grid_size)
-    running = np.maximum.accumulate(np.maximum.reduceat(path.values[: ends[-1] + 1], starts))
-    held = running[positions] <= 1.0
+    stretches = np.maximum.reduceat(path.values[..., : ends[-1] + 1], starts, axis=-1)
+    held = np.maximum.accumulate(stretches, axis=-1)[..., positions] <= 1.0
     return bool(held) if held.ndim == 0 else held

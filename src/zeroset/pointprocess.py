@@ -141,7 +141,7 @@ def jumps_to_empp(
     lo, hi = window
     if not 0.0 <= lo < hi:
         raise ValueError(f"window must satisfy 0 <= lo < hi, got {window}")
-    block = JumpBlock(L)
+    block = JumpBlock.of(L)
     block.require_caps(hi, f"the window {window}")
     locations = block.locations
     inside = (locations >= lo) & (locations <= hi)
@@ -231,7 +231,7 @@ def count_heavy_subintervals(L: JumpFunction | Sequence[JumpFunction], n, r: flo
         raise ValueError(f"n must be at least 1, got {n}")
     if not r > 0.0:
         raise ValueError(f"threshold r must be positive, got {r}")
-    block = JumpBlock(L)
+    block = JumpBlock.of(L)
     block.require_caps(1.0, "counting on [0, 1]")
     locs = block.locations
     # a jump at level 0 belongs to L(0), not to a subinterval
@@ -257,7 +257,8 @@ def count_heavy_subintervals(L: JumpFunction | Sequence[JumpFunction], n, r: flo
         right = block.values(p, grid[k[last]], i[last] + 1)
         counts[:, j] = np.bincount(p[right - left > r], minlength=len(block))
         for q in np.flatnonzero(~sparse):
-            values = block.functions[q].evaluate(grid)
+            jumps = block.locations[block.offsets[q]:block.offsets[q + 1]]
+            values = block.values(q, grid, jumps.searchsorted(grid, side="right"))
             counts[q, j] = np.count_nonzero(values[1:] - values[:-1] > r)
     if ns.ndim == 0:
         counts = counts[:, 0]
@@ -372,7 +373,7 @@ def window_exceedance_counts(
     thr = np.asarray(thresholds, dtype=np.float64)
     if np.isnan(thr).any():
         raise ValueError(f"thresholds must not be NaN, got {thresholds}")
-    block = JumpBlock(L)
+    block = JumpBlock.of(L)
     locs = block.locations
     inside = (locs > 0.0) & (locs <= x_window)
     sizes, path = block.sizes[inside], block.owner[inside]

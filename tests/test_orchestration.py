@@ -744,8 +744,9 @@ def test_every_traced_layer_name_is_bound_and_called(monkeypatch):
     """The benchmark's tracer wraps these names in the orchestration
     namespace, and ``MarkedPointSet.count`` on its class; a name that is
     missing or that ``run_paths`` no longer calls would break or blank a
-    traced layer.  The tracer counts paths by the sampler's calls and jumps
-    by the inversion's, so the per-path layers run once per path."""
+    traced layer.  The tracer counts paths by the sampler's calls, so the
+    sampler runs once per path, and jumps by the ``n_jumps`` of the
+    inversion's results, so those add up to the paths' jumps."""
     import zeroset.orchestration as orch
     from zeroset.pointprocess import MarkedPointSet
 
@@ -756,10 +757,15 @@ def test_every_traced_layer_name_is_bound_and_called(monkeypatch):
     assert layertrace.LAYER_OF
     calls = dict.fromkeys([*layertrace.LAYER_OF, "count"], 0)
 
+    jumps = []
+
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "invert_profile":
+                jumps.append(result.n_jumps)
+            return result
         return wrapper
 
     for name in layertrace.LAYER_OF:
@@ -769,31 +775,37 @@ def test_every_traced_layer_name_is_bound_and_called(monkeypatch):
     summary = run_paths(_config(n_paths=8), workers=1)
     assert summary.n_ok == 8
     assert all(calls.values()), calls
-    for name in ("sample", "estimate_local_time", "invert_profile"):
-        assert calls[name] == 8, name
+    assert calls["sample"] == 8
+    assert sum(jumps) == summary.n_jumps.sum()
 
 
-@pytest.mark.parametrize("block_jumps", [1, 40])
-def test_blocks_of_any_size_give_the_same_columns(monkeypatch, block_jumps):
-    """A chunk computes the jump-function columns whenever its paths reach
-    BLOCK_JUMPS jumps; the size of those blocks moves no bit."""
+@pytest.mark.parametrize("block_cells", [1, 40])
+def test_blocks_of_any_size_give_the_same_columns(monkeypatch, block_cells):
+    """A chunk inverts its profiles and computes their columns whenever
+    they reach BLOCK_CELLS occupied cells; the size of those blocks, and of
+    the blocks of paths, moves no bit."""
     import zeroset.orchestration as orch
 
     cfg = _config(n_paths=40, process=_BM)
     whole = run_paths(cfg, workers=1)
-    assert np.sum(whole.n_jumps) < orch.BLOCK_JUMPS
-    monkeypatch.setattr(orch, "BLOCK_JUMPS", block_jumps)
+    assert np.sum(whole.supports) * cfg.grid_size < orch.BLOCK_CELLS
+    monkeypatch.setattr(orch, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(orch, "BLOCK_POINTS", 3 * cfg.grid_size)
     sizes = []
-    real_block = orch._compute_block
+    real_invert = orch.invert_profile
 
-    def block(config, indices, Ls):
-        sizes.append(sum(L.n_jumps for L in Ls))
-        return real_block(config, indices, Ls)
+    def invert(profile):
+        sizes.append((len(profile), len(profile.occupied)))
+        return real_invert(profile)
 
-    monkeypatch.setattr(orch, "_compute_block", block)
+    monkeypatch.setattr(orch, "invert_profile", invert)
     split = run_paths(cfg, workers=1)
-    # every block but the last stops at the first path that reaches the bound
-    assert len(sizes) > 1 and all(n >= block_jumps for n in sizes[:-1])
+    # every block of profiles but the last stops at the first block of three
+    # paths that brings it to the bound
+    assert sum(paths for paths, _ in sizes) == cfg.n_paths
+    assert len(sizes) > 1
+    for paths, cells in sizes[:-1]:
+        assert paths % 3 == 0 and cells >= block_cells
     for f in fields(EnsembleSummary):
         if f.name not in ("config", "failures"):
             np.testing.assert_array_equal(
@@ -808,12 +820,14 @@ def test_a_failed_block_call_fails_only_its_path(monkeypatch):
 
     # two failures are allowed from 200 paths on
     cfg = _config(n_paths=200)
-    bad = int(np.flatnonzero(run_paths(cfg, workers=1).heavy_valid)[0])
+    clean = run_paths(cfg, workers=1)
+    # the count knows the bad path by its drift, which no other path shares
+    _, first, shared = np.unique(clean.drifts, return_index=True, return_counts=True)
+    bad = int(min(i for i, n in zip(first, shared) if n == 1 and clean.heavy_valid[i]))
+    drift = clean.drifts[bad]
     last = cfg.n_paths - 1
     assert bad < last
-    real_sample, real_invert, real_count = (
-        orch.sample, orch.invert_profile, orch.count_heavy_subintervals)
-    inverted = []
+    real_sample, real_count = orch.sample, orch.count_heavy_subintervals
 
     def sample_fails_at(*indices):
         seeds = {orch.derive_path_seed(cfg.master_seed, i) for i in indices}
@@ -824,19 +838,14 @@ def test_a_failed_block_call_fails_only_its_path(monkeypatch):
             return real_sample(spec, seed)
         return sample
 
-    def invert(profile):
-        inverted.append(real_invert(profile))
-        return inverted[-1]
-
     def count(L, n, r):
-        if any(f is inverted[bad] for f in L):
+        if drift in L.drifts:
             raise RuntimeError("synthetic block failure")
         return real_count(L, n, r)
 
     monkeypatch.setattr(orch, "sample", sample_fails_at(bad, last))
     reference = run_paths(cfg, workers=1)
     monkeypatch.setattr(orch, "sample", sample_fails_at(last))
-    monkeypatch.setattr(orch, "invert_profile", invert)
     monkeypatch.setattr(orch, "count_heavy_subintervals", count)
     summary = run_paths(cfg, workers=1)
 
